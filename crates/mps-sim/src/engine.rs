@@ -323,21 +323,36 @@ struct Flight<C> {
     kind: FlightKind<C>,
 }
 
+/// End-of-list marker of the per-destination flight lists.
+const NIL: u32 = u32::MAX;
+
 /// Slab arena for in-flight messages: O(1) insert/remove with slot reuse,
 /// so per-message traffic costs no tree rebalancing and no allocation in
 /// steady state (the previous `BTreeMap<u64, Flight>` paid both). Arrival
 /// events carry the flight's `seq` stamp and re-validate it, so an event
 /// can never resolve to a different flight that recycled its slot.
+///
+/// Flights addressed to a rank are also threaded on that rank's doubly
+/// linked list, so rank-set queries (checkpoint capture, rollback drop)
+/// read only the flights they concern. The links live in `links`, a dense
+/// side array parallel to `slots`, not in `Flight`: linking and unlinking
+/// then touch 8-byte neighbours instead of whole flights (DESIGN.md §2.1).
 struct FlightSlab<C> {
     slots: Vec<Option<Flight<C>>>,
+    /// `(prev, next)` slot of each occupied rank-addressed slot.
+    links: Vec<(u32, u32)>,
+    /// First slot of each destination rank's list.
+    heads: Vec<u32>,
     free: Vec<u32>,
     next_seq: u64,
 }
 
 impl<C> FlightSlab<C> {
-    fn new() -> Self {
+    fn new(n_ranks: usize) -> Self {
         FlightSlab {
             slots: Vec::new(),
+            links: Vec::new(),
+            heads: vec![NIL; n_ranks],
             free: Vec::new(),
             next_seq: 0,
         }
@@ -351,6 +366,7 @@ impl<C> FlightSlab<C> {
             Some(idx) => idx,
             None => {
                 self.slots.push(None);
+                self.links.push((NIL, NIL));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -359,21 +375,54 @@ impl<C> FlightSlab<C> {
 
     fn fill(&mut self, slot: u32, flight: Flight<C>) {
         debug_assert!(self.slots[slot as usize].is_none());
+        if let Endpoint::Rank(r) = flight.to {
+            let head = std::mem::replace(&mut self.heads[r.idx()], slot);
+            if head != NIL {
+                self.links[head as usize].0 = slot;
+            }
+            self.links[slot as usize] = (NIL, head);
+        }
         self.slots[slot as usize] = Some(flight);
     }
 
     /// Remove the flight in `slot` if its stamp matches `seq`.
     fn remove(&mut self, slot: u32, seq: u64) -> Option<Flight<C>> {
-        let entry = self.slots.get_mut(slot as usize)?;
-        if entry.as_ref().is_some_and(|f| f.seq == seq) {
-            let f = entry.take();
-            self.free.push(slot);
-            f
-        } else {
-            None
+        let f = self
+            .slots
+            .get_mut(slot as usize)?
+            .take_if(|f| f.seq == seq)?;
+        if let Endpoint::Rank(r) = f.to {
+            let (prev, next) = self.links[slot as usize];
+            match prev {
+                NIL => self.heads[r.idx()] = next,
+                p => self.links[p as usize].1 = next,
+            }
+            if next != NIL {
+                self.links[next as usize].0 = prev;
+            }
         }
+        self.free.push(slot);
+        Some(f)
     }
 
+    /// Flights addressed to rank `r`, most recently inserted first.
+    fn to_rank(&self, r: Rank) -> impl Iterator<Item = (u32, &Flight<C>)> {
+        let mut slot = self.heads[r.idx()];
+        std::iter::from_fn(move || {
+            if slot == NIL {
+                return None;
+            }
+            let at = slot;
+            slot = self.links[at as usize].1;
+            let f = self.slots[at as usize]
+                .as_ref()
+                .expect("linked slot is occupied");
+            Some((at, f))
+        })
+    }
+
+    /// Every occupied slot, in slot order (the oracle of the rank lists).
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = (u32, &Flight<C>)> {
         self.slots
             .iter()
@@ -385,6 +434,36 @@ impl<C> FlightSlab<C> {
     /// list, so this is O(1)).
     fn len(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+}
+
+/// Bitmap over rank indices: O(1) membership for the rank-set queries,
+/// where a linear `contains` would cost O(|set|) per flight.
+struct RankSet {
+    bits: Vec<u64>,
+}
+
+impl RankSet {
+    /// The set of `ranks` (of `n` ranks in all), plus its distinct members
+    /// in first-seen order.
+    fn dedup(n: usize, ranks: &[Rank]) -> (RankSet, Vec<Rank>) {
+        let mut set = RankSet {
+            bits: vec![0; n.div_ceil(64)],
+        };
+        let distinct = ranks.iter().copied().filter(|&r| set.insert(r)).collect();
+        (set, distinct)
+    }
+
+    /// Add `r`; `false` if it was already present.
+    fn insert(&mut self, r: Rank) -> bool {
+        let (word, bit) = (r.idx() / 64, 1u64 << (r.idx() % 64));
+        let fresh = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, r: Rank) -> bool {
+        self.bits[r.idx() / 64] & (1u64 << (r.idx() % 64)) != 0
     }
 }
 
@@ -500,7 +579,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
             programs: app.into_programs(),
             config,
             fifo_last: FxHashMap::default(),
-            flights: FlightSlab::new(),
+            flights: FlightSlab::new(n),
             cost_cache: CostCache::new(),
             arrival_counter: 0,
             done_count: 0,
@@ -910,32 +989,29 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
 
     /// Capture in-flight messages whose source *and* destination are both
     /// in `set` (intra-cluster channel state for a coordinated checkpoint),
-    /// ordered by arrival time.
+    /// ordered by arrival time. Reads only the flights addressed to `set`.
     pub fn capture_inflight_within(&self, set: &[Rank]) -> Vec<InFlightMsg> {
-        let member = |r: Rank| set.contains(&r);
-        let mut found: Vec<&Flight<C>> = self
-            .core
-            .flights
+        let (member, ranks) = RankSet::dedup(self.core.n(), set);
+        let flights = &self.core.flights;
+        let mut found: Vec<(SimTime, u64, &Message, SimDuration)> = ranks
             .iter()
-            .map(|(_, f)| f)
-            .filter(|f| match &f.kind {
-                FlightKind::App { msg, .. } => member(msg.src) && member(msg.dst),
-                FlightKind::Ctl { .. } => false,
+            .flat_map(|&r| flights.to_rank(r))
+            .filter_map(|(_, f)| match &f.kind {
+                FlightKind::App { msg, recv_cost } if member.contains(msg.src) => {
+                    Some((f.at, f.seq, msg, *recv_cost))
+                }
+                _ => None,
             })
             .collect();
         // `seq` is the flight's creation order — the same deterministic
         // tie-break the pre-slab implementation got from its monotone map
-        // keys, immune to slot recycling.
-        found.sort_by_key(|f| (f.at, f.seq));
+        // keys, immune to slot recycling and to the walk order above.
+        found.sort_unstable_by_key(|&(at, seq, _, _)| (at, seq));
+        // Checkpoints keep the result: it gets an exact allocation of its
+        // own rather than reusing (and retaining) the larger `found`.
         found
             .into_iter()
-            .map(|f| match &f.kind {
-                FlightKind::App { msg, recv_cost } => InFlightMsg {
-                    msg: *msg,
-                    recv_cost: *recv_cost,
-                },
-                FlightKind::Ctl { .. } => unreachable!(),
-            })
+            .map(|(_, _, &msg, recv_cost)| InFlightMsg { msg, recv_cost })
             .collect()
     }
 
@@ -943,13 +1019,16 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
     /// any of `ranks`. Used at rollback: messages addressed to the old
     /// incarnation are lost.
     pub fn drop_inflight_to(&mut self, ranks: &[Rank]) {
-        let victims: Vec<(u32, u64)> = self
-            .core
-            .flights
+        let (_, ranks) = RankSet::dedup(self.core.n(), ranks);
+        let flights = &self.core.flights;
+        let mut victims: Vec<(u32, u64)> = ranks
             .iter()
-            .filter(|(_, f)| matches!(f.to, Endpoint::Rank(r) if ranks.contains(&r)))
+            .flat_map(|&r| flights.to_rank(r))
             .map(|(slot, f)| (slot, f.seq))
             .collect();
+        // Remove in slot order, so the free list refills exactly as a
+        // scan of the whole slab would refill it.
+        victims.sort_unstable();
         for (slot, seq) in victims {
             if let Some(f) = self.core.flights.remove(slot, seq) {
                 self.core.cancel_event(f.handle);
@@ -1840,5 +1919,73 @@ mod tests {
         assert!(report.completed(), "{:?}", report.status);
         assert_eq!(report.metrics.app_messages, (n as u64) * 10);
         assert!(report.trace.is_consistent());
+    }
+
+    /// The per-destination rank lists against a brute-force filter of the
+    /// whole slab, after every step of a random reserve/fill/remove run.
+    mod flight_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        const N: u32 = 5;
+
+        fn check(slab: &FlightSlab<()>) {
+            for r in (0..N).map(Rank) {
+                let listed: Vec<(u32, u64)> = slab.to_rank(r).map(|(s, f)| (s, f.seq)).collect();
+                // Newest first: a list is in descending creation order.
+                prop_assert!(listed.windows(2).all(|w| w[0].1 > w[1].1));
+                let mut listed: Vec<u32> = listed.into_iter().map(|(s, _)| s).collect();
+                listed.sort_unstable();
+                let scanned: Vec<u32> = slab
+                    .iter()
+                    .filter(|(_, f)| f.to == Endpoint::Rank(r))
+                    .map(|(s, _)| s)
+                    .collect();
+                prop_assert_eq!(listed, scanned, "list of {} diverged", r);
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn rank_lists_match_slab_scan(
+                steps in prop::collection::vec((any::<u8>(), any::<u32>()), 0..300)
+            ) {
+                let mut sched: Scheduler<()> = Scheduler::new();
+                let handle = sched.schedule(SimTime::ZERO, ());
+                let mut slab: FlightSlab<()> = FlightSlab::new(N as usize);
+                let mut live: Vec<(u32, u64)> = Vec::new();
+                for (op, arg) in steps {
+                    if op % 3 != 0 || live.is_empty() {
+                        // One destination in four is an aux endpoint.
+                        let to = match arg % 4 {
+                            0 => Endpoint::Aux(arg),
+                            _ => Endpoint::Rank(Rank(arg % N)),
+                        };
+                        let (slot, seq) = slab.reserve();
+                        slab.fill(
+                            slot,
+                            Flight {
+                                to,
+                                at: SimTime::from_ps(arg as u64),
+                                seq,
+                                handle,
+                                kind: FlightKind::Ctl {
+                                    from: Endpoint::Aux(0),
+                                    ctl: (),
+                                },
+                            },
+                        );
+                        live.push((slot, seq));
+                    } else {
+                        let (slot, seq) = live.swap_remove(arg as usize % live.len());
+                        prop_assert!(slab.remove(slot, seq).is_some());
+                        // A stale stamp never removes (or unlinks) anything.
+                        prop_assert!(slab.remove(slot, seq).is_none());
+                    }
+                    prop_assert_eq!(slab.len(), live.len());
+                    check(&slab);
+                }
+            }
+        }
     }
 }

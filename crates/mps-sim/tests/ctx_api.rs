@@ -306,3 +306,193 @@ fn charge_delays_execution() {
     assert!(report.completed());
     assert!(report.makespan >= SimTime::from_ms(7));
 }
+
+/// Runs `query` once at 2 µs and keeps what it returns. At that instant
+/// every application message of [`sends_in_flight`] is still on the
+/// wire, and so is every control message in `ctls` (sent at 1 µs).
+/// Control arrivals are logged as `(from, to)`.
+struct InflightProbe {
+    ctls: Vec<(Endpoint, Endpoint)>,
+    query: fn(&mut Ctx<'_, ProbeCtl>) -> Vec<Vec<mps_sim::InFlightMsg>>,
+    captured: Vec<Vec<mps_sim::InFlightMsg>>,
+    ctl_arrivals: Vec<(Endpoint, Endpoint)>,
+}
+
+impl Protocol for InflightProbe {
+    type Ctl = ProbeCtl;
+
+    fn name(&self) -> &'static str {
+        "inflight-probe"
+    }
+
+    fn init(&mut self, ctx: &mut Ctx<'_, ProbeCtl>) {
+        // The gate holds P3 back, so the run outlives the timers.
+        ctx.gate(Rank(3), true);
+        ctx.set_timer(SimTime::from_us(1), 1);
+        ctx.set_timer(SimTime::from_us(2), 2);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProbeCtl>, id: u64) {
+        match id {
+            1 => {
+                for &(from, to) in &self.ctls {
+                    ctx.send_ctl(from, to, 16, ProbeCtl::Note("probe"));
+                }
+            }
+            _ => {
+                self.captured = (self.query)(ctx);
+                ctx.gate(Rank(3), false);
+            }
+        }
+    }
+
+    fn on_control(
+        &mut self,
+        _ctx: &mut Ctx<'_, ProbeCtl>,
+        to: Endpoint,
+        from: Endpoint,
+        _ctl: ProbeCtl,
+    ) {
+        self.ctl_arrivals.push((from, to));
+    }
+}
+
+/// Ranks that only send, all at time 0: P0→P1 (1 MiB), P0→P2 (64 KiB),
+/// P1→P0 (4 KiB, lands first) and P2→P1 (64 KiB). P3's one send waits
+/// behind the probe's gate until the query has run.
+fn sends_in_flight() -> Application {
+    let mut app = Application::new(4);
+    app.rank_mut(Rank(0))
+        .send(Rank(1), 1 << 20, Tag(0))
+        .send(Rank(2), 64 << 10, Tag(0));
+    app.rank_mut(Rank(1)).send(Rank(0), 4 << 10, Tag(0));
+    app.rank_mut(Rank(2)).send(Rank(1), 64 << 10, Tag(0));
+    app.rank_mut(Rank(3)).send(Rank(0), 8, Tag(1));
+    app
+}
+
+fn probe(
+    ctls: Vec<(Endpoint, Endpoint)>,
+    query: fn(&mut Ctx<'_, ProbeCtl>) -> Vec<Vec<mps_sim::InFlightMsg>>,
+) -> InflightProbe {
+    let probe = InflightProbe {
+        ctls,
+        query,
+        captured: Vec::new(),
+        ctl_arrivals: Vec::new(),
+    };
+    let (report, probe) =
+        Sim::new(sends_in_flight(), SimConfig::default(), probe).run_with_protocol();
+    assert!(report.completed(), "{:?}", report.status);
+    probe
+}
+
+/// `(src, dst, bytes)` of each captured message, in capture order.
+fn channels(msgs: &[mps_sim::InFlightMsg]) -> Vec<(u32, u32, u64)> {
+    msgs.iter()
+        .map(|m| (m.msg.src.0, m.msg.dst.0, m.msg.bytes))
+        .collect()
+}
+
+fn rank(r: u32) -> Endpoint {
+    Endpoint::Rank(Rank(r))
+}
+
+#[test]
+fn capture_keeps_only_app_channels_inside_the_set_in_arrival_order() {
+    // A control message on P0→P1 is in flight too: it is not channel
+    // state. P0→P2 (source only) and P2→P1 (destination only) cross the
+    // set's boundary. P1→P0 lands first although it was sent second.
+    let p = probe(vec![(rank(0), rank(1))], |ctx| {
+        vec![ctx.capture_inflight_within(&[Rank(0), Rank(1)])]
+    });
+    assert_eq!(
+        channels(&p.captured[0]),
+        vec![(1, 0, 4 << 10), (0, 1, 1 << 20)]
+    );
+}
+
+#[test]
+fn capture_ignores_duplicated_ranks_in_the_set() {
+    let p = probe(Vec::new(), |ctx| {
+        vec![
+            ctx.capture_inflight_within(&[Rank(0), Rank(1)]),
+            ctx.capture_inflight_within(&[Rank(1), Rank(0), Rank(1), Rank(0), Rank(0)]),
+        ]
+    });
+    assert_eq!(channels(&p.captured[1]), channels(&p.captured[0]));
+    assert_eq!(p.captured[0].len(), 2);
+}
+
+/// A message for re-injection on channel `src→dst`.
+fn crafted(src: u32, dst: u32, bytes: u64) -> mps_sim::InFlightMsg {
+    mps_sim::InFlightMsg {
+        msg: Message {
+            src: Rank(src),
+            dst: Rank(dst),
+            tag: Tag(7),
+            bytes,
+            payload: bytes,
+            channel_seq: 1,
+            meta: Default::default(),
+            replayed: false,
+        },
+        recv_cost: SimDuration::ZERO,
+    }
+}
+
+#[test]
+fn capture_breaks_arrival_ties_by_creation_order() {
+    // Re-injected messages on distinct channels that carry no other
+    // traffic all land at the same instant, so capture must return them in injection order —
+    // whichever order that is, and whatever their ranks or slab slots.
+    let p = probe(Vec::new(), |ctx| {
+        let all = [Rank(0), Rank(1), Rank(2), Rank(3)];
+        let mut out = Vec::new();
+        for order in [[(2, 0), (1, 2), (3, 1)], [(3, 1), (2, 0), (1, 2)]] {
+            ctx.drop_inflight_to(&all);
+            let msgs: Vec<_> = order.iter().map(|&(s, d)| crafted(s, d, 8)).collect();
+            ctx.inject_inflight(&msgs);
+            out.push(ctx.capture_inflight_within(&all));
+        }
+        ctx.drop_inflight_to(&all);
+        out
+    });
+    assert_eq!(
+        channels(&p.captured[0]),
+        vec![(2, 0, 8), (1, 2, 8), (3, 1, 8)]
+    );
+    assert_eq!(
+        channels(&p.captured[1]),
+        vec![(3, 1, 8), (2, 0, 8), (1, 2, 8)]
+    );
+}
+
+#[test]
+fn drop_removes_exactly_the_flights_addressed_to_the_ranks() {
+    // In flight at 2 µs: app P0→P1, P0→P2, P1→P0, P2→P1; control P0→P1,
+    // P2→P0, aux0→P1 and P1→aux0. Dropping toward P1 must take the two
+    // app and two control messages addressed to P1, and nothing else.
+    let ctls = vec![
+        (rank(0), rank(1)),
+        (rank(2), rank(0)),
+        (Endpoint::Aux(0), rank(1)),
+        (rank(1), Endpoint::Aux(0)),
+    ];
+    let p = probe(ctls, |ctx| {
+        let all = [Rank(0), Rank(1), Rank(2)];
+        let before = ctx.capture_inflight_within(&all);
+        ctx.drop_inflight_to(&[Rank(1), Rank(1)]);
+        vec![before, ctx.capture_inflight_within(&all)]
+    });
+    assert_eq!(p.captured[0].len(), 4);
+    let mut left = channels(&p.captured[1]);
+    left.sort_unstable();
+    assert_eq!(left, vec![(0, 2, 64 << 10), (1, 0, 4 << 10)]);
+    let mut arrived = p.ctl_arrivals.clone();
+    arrived.sort_unstable();
+    assert_eq!(
+        arrived,
+        vec![(rank(1), Endpoint::Aux(0)), (rank(2), rank(0))]
+    );
+}
