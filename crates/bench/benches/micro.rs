@@ -181,11 +181,28 @@ fn bench_rng(c: &mut Criterion) {
 
 fn bench_partitioner(c: &mut Criterion) {
     use clustering::{partition, CommGraph, PartitionConfig};
-    use workloads::{NasBench, NasConfig};
+    use workloads::{stencil_2d, NasBench, NasConfig, StencilConfig};
     let app = NasBench::CG.build(&NasConfig::test(256, 2));
     let graph = CommGraph::from_application(&app);
     c.bench_function("partition_cg_256_k16", |b| {
         b.iter(|| black_box(partition(&graph, &PartitionConfig::balanced(16, 256))))
+    });
+    // The graph shape of the `ckpt_recovery` benchmark cell: a sparse
+    // 1024-rank halo cut into 64 clusters.
+    let app = stencil_2d(&StencilConfig {
+        n_ranks: 1024,
+        iterations: 2,
+        ..StencilConfig::default()
+    });
+    let graph = CommGraph::from_application(&app);
+    c.bench_function("partition_stencil_1024_k64", |b| {
+        b.iter(|| black_box(partition(&graph, &PartitionConfig::balanced(64, 1024))))
+    });
+    // A dense all-to-all graph (FT's transposes) cut in two.
+    let app = NasBench::FT.build(&NasConfig::test(256, 2));
+    let graph = CommGraph::from_application(&app);
+    c.bench_function("partition_ft_256_k2", |b| {
+        b.iter(|| black_box(partition(&graph, &PartitionConfig::balanced(2, 256))))
     });
 }
 

@@ -89,7 +89,7 @@ OPTIONS (comma-separate values; every combination runs):
     --workloads <w,...>   workload registry names [default: netpipe:1024]
     --protocols <p,...>   native | hydee | coordinated | event-logged
                           [default: native,hydee]
-    --clusters <c,...>    single | per-rank | blocks:K | part:K
+    --clusters <c,...>    single | per-rank | blocks:K | part:K (or blocksK, partK)
                           [default: single]
     --networks <n,...>    mx | tcp [default: mx]
     --topologies <t,...>  flat | two-level | fat-tree:<k> | dragonfly:<g>
@@ -190,25 +190,7 @@ fn parse_protocol(name: &str, image_bytes: u64) -> ProtocolSpec {
 }
 
 fn parse_clusters(name: &str) -> ClusterStrategy {
-    match name {
-        "single" => ClusterStrategy::Single,
-        "per-rank" => ClusterStrategy::PerRank,
-        _ => {
-            if let Some(k) = name.strip_prefix("blocks:") {
-                ClusterStrategy::Blocks(
-                    k.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad blocks count `{k}`"))),
-                )
-            } else if let Some(k) = name.strip_prefix("part:") {
-                ClusterStrategy::Partitioned(
-                    k.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad partition count `{k}`"))),
-                )
-            } else {
-                fail(&format!("unknown cluster strategy `{name}`"))
-            }
-        }
-    }
+    ClusterStrategy::parse(name).unwrap_or_else(|e| fail(&e))
 }
 
 fn parse_failure_model(arg: &str) -> FailureModelSpec {

@@ -14,50 +14,58 @@ use mps_sim::{Application, CommMatrix, Rank};
 /// Undirected weighted communication graph over ranks.
 #[derive(Debug, Clone)]
 pub struct CommGraph {
-    n: usize,
-    /// Symmetric weights, row-major; `w[i*n+j]` = bytes exchanged between
-    /// i and j (both directions).
-    w: Vec<u64>,
+    /// Symmetric sparse adjacency: `rows[i]` holds `(j, bytes exchanged
+    /// between i and j in both directions)` for every neighbour `j` with
+    /// nonzero traffic, ascending by `j`.
+    rows: Vec<Vec<(u32, u64)>>,
 }
 
 impl CommGraph {
     pub fn new(n: usize) -> Self {
         CommGraph {
-            n,
-            w: vec![0; n * n],
+            rows: vec![Vec::new(); n],
         }
     }
 
     pub fn n_ranks(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Add `bytes` of traffic between `a` and `b` (order irrelevant).
     pub fn add(&mut self, a: Rank, b: Rank, bytes: u64) {
-        if a == b {
+        if a == b || bytes == 0 {
             return;
         }
-        self.w[a.idx() * self.n + b.idx()] += bytes;
-        self.w[b.idx() * self.n + a.idx()] += bytes;
+        for (row, other) in [(a, b), (b, a)] {
+            let row = &mut self.rows[row.idx()];
+            match row.binary_search_by_key(&other.0, |e| e.0) {
+                Ok(i) => row[i].1 += bytes,
+                Err(i) => row.insert(i, (other.0, bytes)),
+            }
+        }
     }
 
     #[inline]
     pub fn weight(&self, a: Rank, b: Rank) -> u64 {
-        self.w[a.idx() * self.n + b.idx()]
+        let row = &self.rows[a.idx()];
+        match row.binary_search_by_key(&b.0, |e| e.0) {
+            Ok(i) => row[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// Total traffic (each undirected pair counted once).
     pub fn total(&self) -> u64 {
-        self.w.iter().sum::<u64>() / 2
+        self.rows.iter().flatten().map(|e| e.1).sum::<u64>() / 2
     }
 
     /// Build from a measured communication matrix.
     pub fn from_matrix(m: &CommMatrix) -> Self {
-        let mut g = CommGraph::new(m.n_ranks());
-        for (src, dst, bytes, _msgs) in m.channels() {
-            g.add(src, dst, bytes);
-        }
-        g
+        Self::collect(m.n_ranks(), |add| {
+            for (src, dst, bytes, _msgs) in m.channels() {
+                add(src, dst, bytes);
+            }
+        })
     }
 
     /// Build statically from an application's programs, streaming each
@@ -65,23 +73,50 @@ impl CommGraph {
     /// programs, so graph extraction is O(ranks × pattern), not
     /// O(ranks × pattern × iterations).
     pub fn from_application(app: &Application) -> Self {
-        let mut g = CommGraph::new(app.n_ranks());
-        app.send_summary(|src, dst, bytes, _msgs| g.add(src, dst, bytes));
-        g
-    }
-
-    /// Neighbours of `r` with nonzero weight.
-    pub fn neighbors(&self, r: Rank) -> impl Iterator<Item = (Rank, u64)> + '_ {
-        let base = r.idx() * self.n;
-        (0..self.n).filter_map(move |j| {
-            let w = self.w[base + j];
-            if w > 0 {
-                Some((Rank(j as u32), w))
-            } else {
-                None
-            }
+        Self::collect(app.n_ranks(), |add| {
+            app.send_summary(|src, dst, bytes, _msgs| add(src, dst, bytes))
         })
     }
+
+    /// Build from the `(a, b, bytes)` triples `fill` reports: append them
+    /// unsorted, then sort and merge each row once (a sorted insert per
+    /// triple is quadratic in the degree on dense graphs).
+    fn collect(n: usize, fill: impl FnOnce(&mut dyn FnMut(Rank, Rank, u64))) -> Self {
+        let mut rows = vec![Vec::new(); n];
+        fill(&mut |a: Rank, b: Rank, bytes: u64| {
+            if a != b && bytes > 0 {
+                rows[a.idx()].push((b.0, bytes));
+                rows[b.idx()].push((a.0, bytes));
+            }
+        });
+        rows.iter_mut().for_each(sort_and_merge);
+        CommGraph { rows }
+    }
+
+    /// Neighbours of `r` with nonzero weight, ascending by rank.
+    pub fn neighbors(&self, r: Rank) -> impl Iterator<Item = (Rank, u64)> + '_ {
+        self.row(r.idx()).iter().map(|&(j, w)| (Rank(j), w))
+    }
+
+    /// Row `r` of the adjacency: `(neighbour, weight)`, ascending.
+    pub(crate) fn row(&self, r: usize) -> &[(u32, u64)] {
+        &self.rows[r]
+    }
+}
+
+/// Sort a row by neighbour and merge repeated neighbours, summing their
+/// weights. The sort is stable because rows usually arrive as a few
+/// ascending runs (the peers sending to a rank, its own sends), which a
+/// stable sort merges in linear time.
+pub(crate) fn sort_and_merge(row: &mut Vec<(u32, u64)>) {
+    row.sort_by_key(|e| e.0);
+    row.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
 }
 
 #[cfg(test)]
@@ -116,10 +151,38 @@ mod tests {
     }
 
     #[test]
+    fn collected_rows_match_incremental_adds() {
+        // Unsorted, repeated and reversed triples, a self-loop and a
+        // zero-byte entry: the sort-and-merge build must agree with
+        // `add` one triple at a time.
+        let triples = [
+            (3, 1, 5),
+            (1, 3, 2),
+            (0, 2, 7),
+            (2, 2, 9),
+            (0, 1, 0),
+            (1, 0, 4),
+        ];
+        let collected = CommGraph::collect(4, |add| {
+            for (a, b, w) in triples {
+                add(Rank(a), Rank(b), w);
+            }
+        });
+        let mut added = CommGraph::new(4);
+        for (a, b, w) in triples {
+            added.add(Rank(a), Rank(b), w);
+        }
+        assert_eq!(collected.rows, added.rows);
+        assert_eq!(collected.rows[1], vec![(0, 4), (3, 7)]);
+        assert_eq!(collected.total(), 18);
+    }
+
+    #[test]
     fn neighbors_iterates_nonzero() {
         let mut g = CommGraph::new(4);
-        g.add(Rank(0), Rank(2), 7);
         g.add(Rank(0), Rank(3), 9);
+        g.add(Rank(0), Rank(2), 7);
+        g.add(Rank(0), Rank(1), 0);
         let nb: Vec<_> = g.neighbors(Rank(0)).collect();
         assert_eq!(nb, vec![(Rank(2), 7), (Rank(3), 9)]);
     }
