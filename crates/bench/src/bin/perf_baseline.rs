@@ -21,7 +21,9 @@
 //! * `--out DIR` — where to write `BENCH_engine.json` [default: `.`]
 //! * `--repeat N` — simulations per cell, fastest kept [default: 3]
 //! * `--check FILE` — compare against a committed baseline; exit 1 on a
-//!   throughput regression beyond the tolerance or on any digest drift
+//!   throughput regression beyond the tolerance or on any digest drift,
+//!   exit 2 (before running anything) if the file is malformed or a cell
+//!   lacks a gated field
 //! * `--tolerance F` — fractional regression gate [default: 0.20]
 //!
 //! Run: `cargo run -p bench --release --bin perf_baseline`
@@ -71,6 +73,19 @@ fn main() {
             other => fail(&format!("unknown flag `{other}`")),
         }
     }
+
+    // Parse the baseline before minutes of simulation: a malformed one is
+    // an input error (exit 2) up front.
+    let baseline = check.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())));
+        let baseline = perf::parse_baseline(&text)
+            .unwrap_or_else(|e| fail(&format!("baseline {}: {e}", path.display())));
+        if baseline.cells.is_empty() {
+            fail::<()>(&format!("no cells found in baseline {}", path.display()));
+        }
+        (path, baseline)
+    });
 
     let cells = macro_matrix();
     println!(
@@ -205,16 +220,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
     println!("wrote {}", path.display());
 
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| fail(&format!("read {}: {e}", baseline_path.display())));
-        let baseline = perf::parse_baseline(&text);
-        if baseline.cells.is_empty() {
-            fail::<()>(&format!(
-                "no cells found in baseline {}",
-                baseline_path.display()
-            ));
-        }
+    if let Some((baseline_path, baseline)) = baseline {
         let violations = perf::check_against(&baseline, &report, tolerance);
         if violations.is_empty() {
             println!(

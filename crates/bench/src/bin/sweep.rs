@@ -274,11 +274,11 @@ fn service_addr(flag: Option<String>) -> String {
 /// Exits nonzero for a failed job so CI can gate on it.
 fn print_job_result(
     id: u64,
-    status: &sweep_server::json::Value,
+    status: &telemetry::json::Value,
     records: &[String],
     record_out: Option<&str>,
 ) {
-    use sweep_server::json::Value;
+    use telemetry::json::Value;
     let state = status.get("state").and_then(Value::as_str).unwrap_or("?");
     let hits = status.get("hits").and_then(Value::as_u64).unwrap_or(0);
     let misses = status.get("misses").and_then(Value::as_u64).unwrap_or(0);
@@ -310,7 +310,7 @@ fn print_job_result(
 
 /// The client subcommands: `sweep submit/status/cancel/result/stats/shutdown`.
 fn service_command(cmd: &str, args: &[String]) {
-    use sweep_server::json::Value;
+    use telemetry::json::Value;
     let mut addr: Option<String> = None;
     let mut name: Option<String> = None;
     let mut priority: i64 = 0;

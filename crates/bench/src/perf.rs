@@ -25,6 +25,7 @@ use scenario::{
 };
 use serde::Serialize;
 use std::time::Instant;
+use telemetry::json::Value;
 use workloads::WorkloadSpec;
 
 /// v3: added per-cell containment metrics (`failures`,
@@ -524,65 +525,63 @@ pub struct BaselineCell {
 /// A committed baseline as extracted from `BENCH_engine.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {
-    /// `schema_version` of the committed file (`None` if unparseable —
-    /// the gate treats that as a mismatch).
-    pub schema_version: Option<u32>,
+    /// `schema_version` of the committed file.
+    pub schema_version: u32,
     pub cells: Vec<BaselineCell>,
 }
 
-/// Extract the gated fields from a `BENCH_engine.json`. The vendored
-/// serde stub only *emits* JSON (DESIGN.md §6), so the checker scans for
-/// the fields it gates on instead of parsing the full document —
-/// sufficient because the file is machine-written in a fixed field order.
-pub fn parse_baseline(text: &str) -> Baseline {
-    fn field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
-        let start = chunk.find(&format!("\"{key}\":"))? + key.len() + 3;
-        let rest = &chunk[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    // `schema_version` is the report's first field, ahead of any cell.
-    let schema_version = field(text, "schema_version").and_then(|v| v.parse().ok());
-    let mut cells = Vec::new();
-    // Cells are the only objects with a "name" field.
-    for chunk in text.split("\"name\":").skip(1) {
-        let name = chunk
-            .trim_start()
-            .trim_start_matches('"')
-            .split('"')
-            .next()
-            .unwrap_or("")
-            .to_string();
-        let eps = field(chunk, "events_per_sec").and_then(|v| v.parse().ok());
-        let digest = field(chunk, "digest").and_then(|v| v.parse().ok());
-        let failures = field(chunk, "failures").and_then(|v| v.parse().ok());
-        let rolled = field(chunk, "ranks_rolled_back").and_then(|v| v.parse().ok());
-        let checkpoints = field(chunk, "checkpoints").and_then(|v| v.parse().ok());
-        let waste = field(chunk, "waste_fraction").and_then(|v| v.parse().ok());
-        if let (
-            Some(events_per_sec),
-            Some(digest),
-            Some(failures),
-            Some(ranks_rolled_back),
-            Some(checkpoints),
-            Some(waste_fraction),
-        ) = (eps, digest, failures, rolled, checkpoints, waste)
-        {
-            cells.push(BaselineCell {
-                name,
-                events_per_sec,
-                failures,
-                ranks_rolled_back,
-                checkpoints,
-                waste_fraction,
-                digest,
-            });
-        }
-    }
-    Baseline {
+/// Extract the gated fields from a `BENCH_engine.json`, reading
+/// `schema_version` and each `cells[i]` by key (field order and extra
+/// fields do not matter). Fails loudly — naming the cell and the field —
+/// on malformed JSON or a missing or mistyped gated field, so no cell can
+/// drop out of the gate unnoticed.
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let doc = Value::parse(text)?;
+    let schema_version = doc
+        .get("schema_version")
+        .and_then(Value::as_u64)
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or("missing or non-integer `schema_version`")?;
+    let cells = doc
+        .get("cells")
+        .and_then(Value::as_array)
+        .ok_or("missing `cells` array")?;
+    let cells = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let name = cell
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or(format!("cell {i}: missing or non-string `name`"))?;
+            let field = |key: &str| {
+                cell.get(key)
+                    .ok_or(format!("cell `{name}`: missing `{key}`"))
+            };
+            let mistyped = |key: &str, kind: &str| format!("cell `{name}`: `{key}` is not {kind}");
+            let int = |key: &str| -> Result<u64, String> {
+                field(key)?.as_u64().ok_or_else(|| mistyped(key, "a u64"))
+            };
+            // A number token: `null` (NaN to `Value::as_f64`) is not a gateable reading.
+            let real = |key: &str| match field(key)? {
+                Value::Number(raw) => Ok(raw.parse::<f64>().unwrap_or(f64::NAN)),
+                _ => Err(mistyped(key, "a number")),
+            };
+            Ok(BaselineCell {
+                name: name.to_owned(),
+                events_per_sec: real("events_per_sec")?,
+                failures: int("failures")?,
+                ranks_rolled_back: int("ranks_rolled_back")?,
+                checkpoints: int("checkpoints")?,
+                waste_fraction: real("waste_fraction")?,
+                digest: int("digest")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(Baseline {
         schema_version,
         cells,
-    }
+    })
 }
 
 /// Compare `report` against a committed baseline. Returns the list of
@@ -591,9 +590,9 @@ pub fn parse_baseline(text: &str) -> Baseline {
 /// digest drift.
 pub fn check_against(baseline: &Baseline, report: &PerfReport, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    if baseline.schema_version != Some(report.schema_version) {
+    if baseline.schema_version != report.schema_version {
         violations.push(format!(
-            "baseline schema_version {:?} != current {} — fields may have changed \
+            "baseline schema_version {} != current {} — fields may have changed \
              meaning; regenerate the committed BENCH_engine.json",
             baseline.schema_version, report.schema_version
         ));
@@ -736,37 +735,120 @@ mod tests {
     fn report_roundtrips_through_the_scanner() {
         let report = report_with("cell_a", 123456.0, 0xDEAD);
         let json = serde_json::to_string(&report).unwrap();
-        let parsed = parse_baseline(&json);
-        assert_eq!(parsed.schema_version, Some(SCHEMA_VERSION));
+        let parsed = parse_baseline(&json).unwrap();
+        assert_eq!(parsed.schema_version, SCHEMA_VERSION);
         assert_eq!(parsed.cells.len(), 1);
         assert_eq!(parsed.cells[0].name, "cell_a");
         assert_eq!(parsed.cells[0].digest, 0xDEAD);
         assert!((parsed.cells[0].events_per_sec - 123456.0).abs() < 1e-6);
     }
 
+    /// `text` with every object's members in reverse order and a nested
+    /// `{"name": ...}` object added to the report and to each cell.
+    fn reordered_with_nested_names(text: &str) -> String {
+        fn reorder(v: &Value) -> Value {
+            match v {
+                Value::Object(members) => {
+                    let mut members: Vec<_> = members
+                        .iter()
+                        .map(|(k, v)| (k.clone(), reorder(v)))
+                        .collect();
+                    members.reverse();
+                    let decoy = Value::Object(vec![("name".into(), Value::String("decoy".into()))]);
+                    members.insert(1, ("host".into(), decoy));
+                    Value::Object(members)
+                }
+                Value::Array(items) => Value::Array(items.iter().map(reorder).collect()),
+                other => other.clone(),
+            }
+        }
+        reorder(&Value::parse(text).unwrap()).to_json()
+    }
+
+    #[test]
+    fn baseline_reads_fields_by_key_not_order() {
+        let json = serde_json::to_string(&report_with("cell_a", 123456.0, u64::MAX)).unwrap();
+        let reordered = reordered_with_nested_names(&json);
+        assert_ne!(reordered, json);
+        assert_eq!(
+            parse_baseline(&reordered).unwrap(),
+            parse_baseline(&json).unwrap()
+        );
+        assert_eq!(
+            parse_baseline(&reordered).unwrap().cells[0].digest,
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn baseline_cell_missing_a_gated_field_is_an_error() {
+        let json = serde_json::to_string(&report_with("cell_a", 1000.0, 7)).unwrap();
+        let dropped = json.replacen("\"waste_fraction\":", "\"waste_fraction_x\":", 1);
+        let err = parse_baseline(&dropped).unwrap_err();
+        assert!(
+            err.contains("cell_a") && err.contains("waste_fraction"),
+            "{err}"
+        );
+        let mistyped = json.replacen("\"digest\":7", "\"digest\":\"7\"", 1);
+        let err = parse_baseline(&mistyped).unwrap_err();
+        assert!(err.contains("cell_a") && err.contains("`digest`"), "{err}");
+        let nulled = json.replacen("\"events_per_sec\":1000", "\"events_per_sec\":null", 1);
+        assert!(
+            parse_baseline(&nulled).is_err(),
+            "null is not a gateable reading"
+        );
+        let unversioned = json.replacen("\"schema_version\":", "\"schema\":", 1);
+        assert!(parse_baseline(&unversioned)
+            .unwrap_err()
+            .contains("schema_version"));
+    }
+
+    #[test]
+    fn truncated_baseline_is_an_error() {
+        let json = serde_json::to_string(&report_with("cell_a", 1000.0, 7)).unwrap();
+        for cut in [0, 1, json.len() / 2, json.len() - 1] {
+            assert!(parse_baseline(&json[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_parses_and_names_macro_matrix_cells() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let baseline = parse_baseline(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(!baseline.cells.is_empty());
+        let names: Vec<String> = macro_matrix().into_iter().map(|c| c.name).collect();
+        for cell in &baseline.cells {
+            assert!(
+                names.contains(&cell.name),
+                "`{}` is not a macro_matrix() cell",
+                cell.name
+            );
+        }
+    }
+
     #[test]
     fn gate_fails_on_schema_version_mismatch() {
         let mut base =
-            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap());
-        base.schema_version = Some(SCHEMA_VERSION + 1);
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
+        base.schema_version = SCHEMA_VERSION + 1;
         let violations = check_against(&base, &report_with("c", 1000.0, 7), 0.20);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("schema_version"));
-        // An unparseable version is a mismatch too, not a silent pass.
-        base.schema_version = None;
-        assert!(!check_against(&base, &report_with("c", 1000.0, 7), 0.20).is_empty());
     }
 
     #[test]
     fn gate_passes_within_tolerance() {
-        let base = parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap());
+        let base =
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
         let current = report_with("c", 850.0, 7); // -15% < 20% gate
         assert!(check_against(&base, &current, 0.20).is_empty());
     }
 
     #[test]
     fn gate_fails_on_regression_and_digest_drift() {
-        let base = parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap());
+        let base =
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
         let slow = report_with("c", 700.0, 7); // -30%
         assert_eq!(check_against(&base, &slow, 0.20).len(), 1);
         let drifted = report_with("c", 1000.0, 8);
@@ -777,7 +859,8 @@ mod tests {
 
     #[test]
     fn gate_fails_on_matrix_drift_in_either_direction() {
-        let base = parse_baseline(&serde_json::to_string(&report_with("old", 1000.0, 7)).unwrap());
+        let base = parse_baseline(&serde_json::to_string(&report_with("old", 1000.0, 7)).unwrap())
+            .unwrap();
         let current = report_with("new", 1000.0, 7);
         // Renamed cell: flagged both as a dropped baseline cell and as an
         // ungated fresh cell.
@@ -986,7 +1069,8 @@ mod tests {
 
     #[test]
     fn gate_fails_on_checkpoint_drift() {
-        let base = parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap());
+        let base =
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
         assert_eq!(base.cells[0].checkpoints, 4);
         assert!((base.cells[0].waste_fraction - 0.125).abs() < 1e-12);
         let mut drifted = report_with("c", 1000.0, 7);
@@ -1001,7 +1085,8 @@ mod tests {
 
     #[test]
     fn gate_fails_on_containment_drift() {
-        let base = parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap());
+        let base =
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
         assert_eq!(base.cells[0].failures, 1);
         assert_eq!(base.cells[0].ranks_rolled_back, 2);
         let mut drifted = report_with("c", 1000.0, 7);

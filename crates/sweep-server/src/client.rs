@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use serde::write_json_str;
 
-use crate::json::Value;
+use telemetry::json::Value;
 
 /// Thin handle on a server address; connections are per-request, so a
 /// `Client` is cheap to clone around and never holds a socket open.

@@ -4,16 +4,16 @@
 //! persists each record as the exact string `serde_json::to_string`
 //! produced and this module supplies the missing inverse: decode the raw
 //! line back into a [`RunRecord`] through the integer-exact
-//! [`json`](crate::json) parser, then prove the round trip by
+//! [`telemetry::json`] parser, then prove the round trip by
 //! re-encoding and comparing bytes ([`decode_verified`]). A record that
 //! fails the proof is rejected — the store would rather re-simulate a
 //! cell (determinism makes that safe) than ever serve a record that is
 //! not bit-identical to what the simulation wrote.
 
-use crate::json::Value;
 use det_sim::{SimDuration, SimTime};
 use mps_sim::Metrics;
 use scenario::RunRecord;
+use telemetry::json::Value;
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))

@@ -17,9 +17,10 @@
 //! * [`server`] — the resident [`Server`]: TCP line protocol and/or a
 //!   spool directory, one worker thread, atomic result publication.
 //! * [`client`] — [`Client`] for `sweep submit/status/cancel/result`.
-//! * [`json`] / [`codec`] — an integer-exact JSON parser and a verified
-//!   `RunRecord` decoder; together they close the loop the vendored
-//!   emit-only serde leaves open, with a byte-identity proof per record.
+//! * [`codec`] — a verified `RunRecord` decoder over the workspace's
+//!   integer-exact reader, `telemetry::json`; together they close the
+//!   loop the vendored emit-only serde leaves open, with a byte-identity
+//!   proof per record.
 //!
 //! See `DESIGN.md` §2.7 for the store format, the cache-key contract,
 //! and the job lifecycle.
@@ -27,7 +28,6 @@
 pub mod client;
 pub mod codec;
 pub mod job;
-pub mod json;
 pub mod server;
 pub mod store;
 

@@ -29,8 +29,8 @@ use scenario::JsonlProgress;
 use serde::write_json_str;
 
 use crate::job::{run_job, JobQueue, JobSpec, JobState};
-use crate::json::Value;
 use crate::store::RunStore;
+use telemetry::json::Value;
 
 /// Poll interval for the nonblocking accept loop / spool scan.
 const POLL: Duration = Duration::from_millis(25);
@@ -370,7 +370,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(RunStore::open(&dir).unwrap());
         let server = Server::new(store, None);
-        for bad in ["", "{", "{}", "{\"cmd\":\"nope\"}", "{\"cmd\":\"result\"}"] {
+        // A 100,000-deep `[` line must be refused, not overflow the stack
+        // of the connection thread parsing it.
+        let deep = "[".repeat(100_000);
+        for bad in [
+            "",
+            "{",
+            "{}",
+            "{\"cmd\":\"nope\"}",
+            "{\"cmd\":\"result\"}",
+            &deep,
+        ] {
             let resp = server.handle_request(bad);
             assert!(resp.starts_with("{\"ok\":false"), "`{bad}` → {resp}");
             assert!(resp.ends_with('\n'));

@@ -39,7 +39,7 @@ use scenario::{CacheKey, CachedRun, RunCache, RunRecord, ScenarioSpec};
 use serde::write_json_str;
 
 use crate::codec;
-use crate::json::Value;
+use telemetry::json::Value;
 
 /// On-disk line format version.
 const STORE_VERSION: u64 = 1;

@@ -148,9 +148,7 @@ fn tcp_protocol_round_trips_submit_wait_result() {
     let id1 = client.submit("e2e", SUITE, 0, None).unwrap();
     let (status, first) = client.wait(id1, Duration::from_secs(120)).unwrap();
     assert_eq!(
-        status
-            .get("state")
-            .and_then(sweep_server::json::Value::as_str),
+        status.get("state").and_then(telemetry::json::Value::as_str),
         Some("done")
     );
     assert_eq!(first.len(), 4);
@@ -159,7 +157,7 @@ fn tcp_protocol_round_trips_submit_wait_result() {
     let (status, second) = client.wait(id2, Duration::from_secs(120)).unwrap();
     let hits = status
         .get("hits")
-        .and_then(sweep_server::json::Value::as_u64)
+        .and_then(telemetry::json::Value::as_u64)
         .unwrap();
     assert_eq!(hits, 4, "resubmission over TCP must be 100% hits");
     assert_eq!(first, second, "TCP-served records must be byte-identical");

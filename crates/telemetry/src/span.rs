@@ -12,6 +12,7 @@
 //! counts picoseconds. Values are emitted as fractional microseconds with
 //! six decimals, so single-picosecond resolution survives the export.
 
+use crate::json::Value;
 use crate::{Recorder, RecoveryPhase, StorageDir};
 use det_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
@@ -85,17 +86,17 @@ impl SpanHandle {
                 }
                 args.push_str(&format!(r#""{k}":{v}"#));
             }
+            let mut name = String::new();
+            serde::write_json_str(&e.name, &mut name);
             let body = match e.ph {
                 'X' => format!(
-                    r#"{{"name":"{}","cat":"sim","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{{args}}}}}"#,
-                    escape_json(&e.name),
+                    r#"{{"name":{name},"cat":"sim","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{{args}}}}}"#,
                     ps_to_us(e.ts_ps),
                     ps_to_us(e.dur_ps),
                     e.tid
                 ),
                 _ => format!(
-                    r#"{{"name":"{}","cat":"sim","ph":"i","s":"t","ts":{},"pid":1,"tid":{},"args":{{{args}}}}}"#,
-                    escape_json(&e.name),
+                    r#"{{"name":{name},"cat":"sim","ph":"i","s":"t","ts":{},"pid":1,"tid":{},"args":{{{args}}}}}"#,
                     ps_to_us(e.ts_ps),
                     e.tid
                 ),
@@ -119,22 +120,6 @@ fn track_name(tid: u64) -> String {
         FAILURES_TID => "failures".into(),
         t => format!("cluster {}", t - 1),
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Buffers spans per (cluster, track) for Perfetto export. Ignores the
@@ -256,17 +241,17 @@ pub struct TraceStats {
 /// Used by unit tests and by the CI trace-smoke job through the
 /// `recovery` binary.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
-    let value = crate::json::parse(text)?;
+    let value = Value::parse(text)?;
     let events = value.as_array().ok_or("top level is not an array")?;
     let mut stats = TraceStats::default();
     let mut tracks = BTreeSet::new();
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev.as_object().ok_or(format!("event {i}: not an object"))?;
-        let field = |k: &str| {
-            obj.iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or(format!("event {i}: missing \"{k}\""))
+        ev.as_object().ok_or(format!("event {i}: not an object"))?;
+        let field = |k: &str| ev.get(k).ok_or(format!("event {i}: missing \"{k}\""));
+        // A number token, not `null` (which `Value::as_f64` reads as NaN).
+        let number = |k: &str| match field(k)? {
+            Value::Number(raw) => Ok(raw.parse::<f64>().unwrap_or(f64::NAN)),
+            _ => Err(format!("event {i}: \"{k}\" is not a number")),
         };
         field("name")?
             .as_str()
@@ -274,27 +259,18 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
         let ph = field("ph")?
             .as_str()
             .ok_or(format!("event {i}: \"ph\" is not a string"))?;
-        for k in ["pid", "tid"] {
-            field(k)?
-                .as_number()
-                .ok_or(format!("event {i}: \"{k}\" is not a number"))?;
-        }
-        let tid = field("tid")?.as_number().unwrap();
+        number("pid")?;
+        let tid = number("tid")?;
         match ph {
             "M" => stats.metadata += 1,
             "X" => {
-                for k in ["ts", "dur"] {
-                    field(k)?
-                        .as_number()
-                        .ok_or(format!("event {i}: \"{k}\" is not a number"))?;
-                }
+                number("ts")?;
+                number("dur")?;
                 tracks.insert(tid.to_bits());
                 stats.spans += 1;
             }
             "i" => {
-                field("ts")?
-                    .as_number()
-                    .ok_or(format!("event {i}: \"ts\" is not a number"))?;
+                number("ts")?;
                 tracks.insert(tid.to_bits());
                 stats.instants += 1;
             }
@@ -360,6 +336,14 @@ mod tests {
         assert!(
             validate_chrome_trace(r#"[{"name":"a","ph":"X","pid":1,"tid":1,"ts":0}]"#).is_err(),
             "X span without dur must fail"
+        );
+        assert!(
+            validate_chrome_trace(r#"[{"name":"a","ph":"i","pid":null,"tid":1,"ts":0}]"#).is_err(),
+            "null pid must fail"
+        );
+        assert!(
+            validate_chrome_trace(r#"[{"name":"a","ph":"i","pid":1,"tid":1,"ts":"1"}]"#).is_err(),
+            "string ts must fail"
         );
         assert!(
             validate_chrome_trace(r#"[{"name":"a","ph":"i","pid":1,"tid":1,"ts":0.5}]"#).is_ok()

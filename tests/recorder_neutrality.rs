@@ -108,7 +108,7 @@ proptest! {
         let validated = telemetry::validate_chrome_trace(&json);
         prop_assert!(validated.is_ok(), "invalid trace: {:?}", validated.err());
         for row in samples.rows() {
-            let parsed = telemetry::json::parse(&row.to_json());
+            let parsed = telemetry::json::Value::parse(&row.to_json());
             prop_assert!(parsed.is_ok(), "invalid sample row: {:?}", parsed.err());
         }
     }
