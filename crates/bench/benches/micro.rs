@@ -121,7 +121,7 @@ fn bench_trace_digest(c: &mut Criterion) {
     // replay sweep over every identity (the recovery-oracle path).
     g.bench_function("record_40k_replay_40k", |b| {
         b.iter(|| {
-            let mut t = Trace::new(16);
+            let mut t = Trace::default();
             for seq in 1..=2_500u64 {
                 for src in 0..4u32 {
                     for dst in 4..8u32 {

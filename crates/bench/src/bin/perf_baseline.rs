@@ -18,7 +18,8 @@
 //! perf_baseline [--out DIR] [--repeat N] [--check FILE] [--tolerance F]
 //! ```
 //!
-//! * `--out DIR` — where to write `BENCH_engine.json` [default: `.`]
+//! * `--out DIR` — where to write `BENCH_engine.json`, before any gate
+//!   runs, so a failing run still leaves its report [default: `.`]
 //! * `--repeat N` — simulations per cell, fastest kept [default: 3]
 //! * `--check FILE` — compare against a committed baseline; exit 1 on a
 //!   throughput regression beyond the tolerance or on any digest drift,
@@ -124,6 +125,16 @@ fn main() {
     }
     table.print();
 
+    // Write the report before any gate can exit: a failing run's fresh
+    // numbers are what the next baseline is regenerated from.
+    std::fs::create_dir_all(&out_dir)
+        .unwrap_or_else(|e| fail(&format!("create {}: {e}", out_dir.display())));
+    let path = out_dir.join("BENCH_engine.json");
+    let json = serde_json::to_string(&report).expect("serialize report");
+    std::fs::write(&path, format!("{json}\n"))
+        .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
+    println!("wrote {}", path.display());
+
     // The §VI frontier acceptance: the adaptive Young/Daly policy must
     // waste less of the machine than the aggressive fixed interval it
     // shares the waste_frontier workload with.
@@ -211,14 +222,6 @@ fn main() {
         "topology lookahead: {} barrier rounds under `{}` vs {} flat (strict reduction)",
         tiered.barrier_rounds, tiered.topology, par.barrier_rounds
     );
-
-    std::fs::create_dir_all(&out_dir)
-        .unwrap_or_else(|e| fail(&format!("create {}: {e}", out_dir.display())));
-    let path = out_dir.join("BENCH_engine.json");
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write(&path, format!("{json}\n"))
-        .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
-    println!("wrote {}", path.display());
 
     if let Some((baseline_path, baseline)) = baseline {
         let violations = perf::check_against(&baseline, &report, tolerance);

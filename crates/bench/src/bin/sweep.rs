@@ -683,10 +683,10 @@ fn main() {
             .topologies(topologies)
             .failure_models(failure_models);
         if let Some(ckpt) = &ckpt_arg {
-            matrix = matrix.checkpoint_ms(split_csv(ckpt).into_iter().map(|c| {
+            matrix = matrix.checkpoint_policies(split_csv(ckpt).into_iter().map(|c| {
                 match c {
-                    "none" => None,
-                    ms => Some(
+                    "none" => CheckpointPolicySpec::None,
+                    ms => CheckpointPolicySpec::periodic(
                         ms.parse()
                             .unwrap_or_else(|_| fail(&format!("bad --ckpt-ms `{ms}`"))),
                     ),

@@ -816,15 +816,19 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
         let text = std::fs::read_to_string(path).unwrap();
         let baseline = parse_baseline(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert!(!baseline.cells.is_empty());
-        let names: Vec<String> = macro_matrix().into_iter().map(|c| c.name).collect();
-        for cell in &baseline.cells {
-            assert!(
-                names.contains(&cell.name),
-                "`{}` is not a macro_matrix() cell",
-                cell.name
-            );
-        }
+        assert_eq!(
+            baseline.schema_version, SCHEMA_VERSION,
+            "{path} is stale: regenerate it with perf_baseline"
+        );
+        let want: std::collections::BTreeSet<String> =
+            macro_matrix().into_iter().map(|c| c.name).collect();
+        let have: std::collections::BTreeSet<String> =
+            baseline.cells.iter().map(|c| c.name.clone()).collect();
+        assert_eq!(have.len(), baseline.cells.len(), "duplicate cell names");
+        assert_eq!(
+            have, want,
+            "{path} must hold exactly the macro_matrix() cells"
+        );
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The paper's clustering tool (Ropars et al. \[28\]) consumes "a graph
 //! defining the amount of data sent in each application channel",
-//! collected by instrumenting MPICH2. We build the same graph two ways:
-//!
-//! * from a [`mps_sim::CommMatrix`] produced by actually running the
-//!   application (the paper's method), or
-//! * statically from an [`mps_sim::Application`]'s op streams (no run
-//!   needed — our programs declare their traffic).
+//! collected by instrumenting MPICH2. We build the same graph one way:
+//! statically, from an [`mps_sim::Application`]'s declared traffic
+//! ([`CommGraph::from_application`]). Our programs state every send up
+//! front, so no instrumented run is needed; that summary stands in for
+//! the paper's MPICH2 instrumentation.
 
-use mps_sim::{Application, CommMatrix, Rank};
+use mps_sim::{Application, Rank};
 
 /// Undirected weighted communication graph over ranks.
 #[derive(Debug, Clone)]
@@ -59,31 +58,16 @@ impl CommGraph {
         self.rows.iter().flatten().map(|e| e.1).sum::<u64>() / 2
     }
 
-    /// Build from a measured communication matrix.
-    pub fn from_matrix(m: &CommMatrix) -> Self {
-        Self::collect(m.n_ranks(), |add| {
-            for (src, dst, bytes, _msgs) in m.channels() {
-                add(src, dst, bytes);
-            }
-        })
-    }
-
     /// Build statically from an application's programs, streaming each
     /// rank's aggregated send totals — closed form for generated
     /// programs, so graph extraction is O(ranks × pattern), not
-    /// O(ranks × pattern × iterations).
+    /// O(ranks × pattern × iterations). The `(src, dst, bytes)` triples
+    /// are appended unsorted, then each row is sorted and merged once (a
+    /// sorted insert per triple is quadratic in the degree on dense
+    /// graphs).
     pub fn from_application(app: &Application) -> Self {
-        Self::collect(app.n_ranks(), |add| {
-            app.send_summary(|src, dst, bytes, _msgs| add(src, dst, bytes))
-        })
-    }
-
-    /// Build from the `(a, b, bytes)` triples `fill` reports: append them
-    /// unsorted, then sort and merge each row once (a sorted insert per
-    /// triple is quadratic in the degree on dense graphs).
-    fn collect(n: usize, fill: impl FnOnce(&mut dyn FnMut(Rank, Rank, u64))) -> Self {
-        let mut rows = vec![Vec::new(); n];
-        fill(&mut |a: Rank, b: Rank, bytes: u64| {
+        let mut rows = vec![Vec::new(); app.n_ranks()];
+        app.send_summary(|a, b, bytes, _msgs| {
             if a != b && bytes > 0 {
                 rows[a.idx()].push((b.0, bytes));
                 rows[b.idx()].push((a.0, bytes));
@@ -153,8 +137,8 @@ mod tests {
     #[test]
     fn collected_rows_match_incremental_adds() {
         // Unsorted, repeated and reversed triples, a self-loop and a
-        // zero-byte entry: the sort-and-merge build must agree with
-        // `add` one triple at a time.
+        // zero-byte send: the sort-and-merge build must agree with `add`
+        // one triple at a time.
         let triples = [
             (3, 1, 5),
             (1, 3, 2),
@@ -163,11 +147,11 @@ mod tests {
             (0, 1, 0),
             (1, 0, 4),
         ];
-        let collected = CommGraph::collect(4, |add| {
-            for (a, b, w) in triples {
-                add(Rank(a), Rank(b), w);
-            }
-        });
+        let mut app = Application::new(4);
+        for (a, b, w) in triples {
+            app.rank_mut(Rank(a)).send(Rank(b), w, Tag(0));
+        }
+        let collected = CommGraph::from_application(&app);
         let mut added = CommGraph::new(4);
         for (a, b, w) in triples {
             added.add(Rank(a), Rank(b), w);

@@ -591,7 +591,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
             outbox: Vec::new(),
             cursor: (SimTime::ZERO, 0, 0),
             metrics: Metrics::default(),
-            trace: Trace::new(n),
+            trace: Trace::default(),
         };
         for i in 0..n {
             let rank = Rank(i as u32);

@@ -62,7 +62,7 @@ pub use program::{
     Application, GenProgram, Op, OpStream, OpTemplate, Program, RankProgram, UnrolledProgram,
 };
 pub use protocol::{NullProtocol, Protocol, SendAction, SendDirective, SendInfo};
-pub use trace::{CommMatrix, Trace};
+pub use trace::Trace;
 pub use types::{ChannelId, Endpoint, Message, PbMeta, Rank, Tag};
 // Observability layer (DESIGN.md §2.5): protocols and drivers attach
 // recorders through [`Sim::set_recorder`] / [`Ctx::recorder`].

@@ -1,86 +1,21 @@
-//! Communication tracing and execution oracles.
+//! Execution trace: the send-determinism oracle.
 //!
-//! Two consumers:
-//!
-//! * the **clustering** crate builds its communication graph from the
-//!   [`CommMatrix`] (bytes and message counts per directed channel) — the
-//!   same information the paper extracts by instrumenting MPICH2;
-//! * the **correctness oracles** use the identity map: every application
-//!   send is recorded under its stable identity `(channel, channel_seq)`.
-//!   A recovered execution re-emits some sends; if any re-emission differs
-//!   in size or payload from the original, the execution violated
-//!   send-determinism (or the protocol replayed the wrong thing) and the
-//!   conflict is recorded.
+//! Its one consumer is the correctness check. Every application send is
+//! recorded under its stable identity `(channel, channel_seq)`. A
+//! recovered execution re-emits some sends; if any re-emission differs in
+//! size or payload from the original, the execution violated
+//! send-determinism (or the protocol replayed the wrong thing) and the
+//! conflict is recorded. Memory grows with the messages on the channels
+//! actually used, never with ranks², so sharded runs can move whole
+//! traces into one merged report. The clustering graph does not come
+//! from here: it is built from declared traffic
+//! (`clustering::CommGraph::from_application`).
 
-use crate::types::{ChannelId, Message, Rank};
-use serde::{Deserialize, Serialize};
+use crate::types::{ChannelId, Message};
 use std::collections::BTreeMap;
 
-/// Dense per-channel traffic counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CommMatrix {
-    n: usize,
-    bytes: Vec<u64>,
-    msgs: Vec<u64>,
-}
-
-impl CommMatrix {
-    pub fn new(n: usize) -> Self {
-        CommMatrix {
-            n,
-            bytes: vec![0; n * n],
-            msgs: vec![0; n * n],
-        }
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn idx(&self, src: Rank, dst: Rank) -> usize {
-        src.idx() * self.n + dst.idx()
-    }
-
-    pub fn record(&mut self, src: Rank, dst: Rank, bytes: u64) {
-        let i = self.idx(src, dst);
-        self.bytes[i] += bytes;
-        self.msgs[i] += 1;
-    }
-
-    pub fn bytes_between(&self, src: Rank, dst: Rank) -> u64 {
-        self.bytes[self.idx(src, dst)]
-    }
-
-    pub fn msgs_between(&self, src: Rank, dst: Rank) -> u64 {
-        self.msgs[self.idx(src, dst)]
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
-
-    /// Iterate non-empty directed channels as `(src, dst, bytes, msgs)`.
-    pub fn channels(&self) -> impl Iterator<Item = (Rank, Rank, u64, u64)> + '_ {
-        (0..self.n).flat_map(move |s| {
-            (0..self.n).filter_map(move |d| {
-                let i = s * self.n + d;
-                if self.msgs[i] == 0 {
-                    None
-                } else {
-                    Some((Rank(s as u32), Rank(d as u32), self.bytes[i], self.msgs[i]))
-                }
-            })
-        })
-    }
-}
-
 /// Identity record of one application send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendIdentity {
     pub bytes: u64,
     pub payload: u64,
@@ -97,9 +32,8 @@ pub struct SendIdentity {
 /// the out-of-sequence case (a replay racing ahead of the recorded
 /// prefix), which cannot happen under the engine's FIFO channels but keeps
 /// the oracle total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Trace {
-    pub matrix: CommMatrix,
     /// First-seen identity of each message, densely interned per channel:
     /// `dense[channel][seq - 1]`.
     dense: BTreeMap<ChannelId, Vec<SendIdentity>>,
@@ -113,16 +47,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    pub fn new(n: usize) -> Self {
-        Trace {
-            matrix: CommMatrix::new(n),
-            dense: BTreeMap::new(),
-            sparse: BTreeMap::new(),
-            violations: Vec::new(),
-            consistent_reemissions: 0,
-        }
-    }
-
     /// Look up the first-seen identity of `(channel, seq)`.
     fn identity(&self, channel: ChannelId, seq: u64) -> Option<&SendIdentity> {
         if seq == 0 {
@@ -148,9 +72,8 @@ impl Trace {
 
     /// Record a send (fresh, re-executed, or suppressed-as-orphan; replayed
     /// log deliveries are *not* recorded here — they are copies, checked on
-    /// delivery instead). Only first emissions count toward the comm
-    /// matrix, so the matrix reflects the failure-free communication
-    /// pattern.
+    /// delivery instead). A first emission interns its identity; any
+    /// later emission of the same `(channel, seq)` is checked against it.
     pub fn record_send(&mut self, msg: &Message) {
         let channel = msg.channel();
         match self.identity(channel, msg.channel_seq).copied() {
@@ -163,7 +86,6 @@ impl Trace {
                         payload: msg.payload,
                     },
                 );
-                self.matrix.record(msg.src, msg.dst, msg.bytes);
             }
             Some(orig) => {
                 if orig.bytes == msg.bytes && orig.payload == msg.payload {
@@ -215,15 +137,9 @@ impl Trace {
     /// DESIGN.md §2.8). Sends are recorded on the *sender's* shard, and
     /// every directed channel has exactly one sender, so the per-channel
     /// identity maps of two shards are disjoint — the merge is a union,
-    /// never a conflict resolution. Matrix cells sum (disjoint channels:
-    /// one side is zero), violations concatenate, and re-emission counts
-    /// add.
+    /// never a conflict resolution. Violations concatenate and
+    /// re-emission counts add.
     pub fn absorb(&mut self, other: Trace) {
-        assert_eq!(self.matrix.n, other.matrix.n);
-        for i in 0..self.matrix.bytes.len() {
-            self.matrix.bytes[i] += other.matrix.bytes[i];
-            self.matrix.msgs[i] += other.matrix.msgs[i];
-        }
         for (channel, v) in other.dense {
             let prev = self.dense.insert(channel, v);
             debug_assert!(prev.is_none(), "channel {channel:?} recorded on two shards");
@@ -249,7 +165,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{PbMeta, Tag};
+    use crate::types::{PbMeta, Rank, Tag};
 
     fn msg(seq: u64, bytes: u64, payload: u64) -> Message {
         Message {
@@ -265,33 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn matrix_accumulates() {
-        let mut m = CommMatrix::new(3);
-        m.record(Rank(0), Rank(1), 100);
-        m.record(Rank(0), Rank(1), 50);
-        m.record(Rank(2), Rank(0), 7);
-        assert_eq!(m.bytes_between(Rank(0), Rank(1)), 150);
-        assert_eq!(m.msgs_between(Rank(0), Rank(1)), 2);
-        assert_eq!(m.total_bytes(), 157);
-        assert_eq!(m.total_msgs(), 3);
-        let chans: Vec<_> = m.channels().collect();
-        assert_eq!(chans.len(), 2);
-    }
-
-    #[test]
     fn reemission_identical_is_consistent() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         t.record_send(&msg(1, 100, 0xAB));
         t.record_send(&msg(1, 100, 0xAB));
         assert!(t.is_consistent());
         assert_eq!(t.consistent_reemissions, 1);
-        // matrix counts the message once
-        assert_eq!(t.matrix.msgs_between(Rank(0), Rank(1)), 1);
+        // the message is interned once
+        assert_eq!(t.distinct_messages(), 1);
     }
 
     #[test]
     fn reemission_differing_payload_is_violation() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         t.record_send(&msg(1, 100, 0xAB));
         t.record_send(&msg(1, 100, 0xCD));
         assert!(!t.is_consistent());
@@ -300,7 +202,7 @@ mod tests {
 
     #[test]
     fn replay_checks_against_original() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         t.record_send(&msg(3, 64, 0x1));
         t.check_replay(&msg(3, 64, 0x1));
         assert!(t.is_consistent());
@@ -310,14 +212,14 @@ mod tests {
 
     #[test]
     fn replay_of_unknown_message_flagged() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         t.check_replay(&msg(9, 8, 0x9));
         assert!(t.violations[0].contains("never-sent"));
     }
 
     #[test]
     fn sequential_sends_intern_densely() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         for seq in 1..=1000u64 {
             t.record_send(&msg(seq, 8, seq));
         }
@@ -333,32 +235,43 @@ mod tests {
 
     #[test]
     fn absorb_unions_disjoint_shard_traces() {
-        let mut a = Trace::new(3);
-        a.record_send(&msg(1, 100, 0xA));
-        a.record_send(&msg(1, 100, 0xA)); // re-emission
-        let mut b = Trace::new(3);
-        b.record_send(&Message {
+        let theirs = |payload| Message {
             src: Rank(2),
             dst: Rank(0),
             tag: Tag(0),
             bytes: 7,
-            payload: 0xB,
+            payload,
             channel_seq: 1,
             meta: PbMeta::default(),
             replayed: false,
-        });
+        };
+        let mut a = Trace::default();
+        a.record_send(&msg(1, 100, 0xA));
+        a.record_send(&msg(1, 100, 0xA)); // re-emission
+        let mut b = Trace::default();
+        b.record_send(&theirs(0xB));
         b.violations.push("shard-local violation".into());
         a.absorb(b);
         assert_eq!(a.distinct_messages(), 2);
         assert_eq!(a.consistent_reemissions, 1);
-        assert_eq!(a.matrix.total_bytes(), 107);
-        assert_eq!(a.matrix.msgs_between(Rank(2), Rank(0)), 1);
         assert_eq!(a.violations.len(), 1);
+        // Both shards' identities answer the oracle after the union...
+        a.check_replay(&msg(1, 100, 0xA));
+        a.check_replay(&theirs(0xB));
+        assert_eq!(a.consistent_reemissions, 3);
+        assert_eq!(a.violations.len(), 1);
+        // ...and a changed payload on either shard's channel is caught.
+        a.check_replay(&theirs(0xC));
+        a.check_replay(&msg(1, 100, 0xD));
+        assert_eq!(a.violations.len(), 3);
+        assert!(a.violations[1..]
+            .iter()
+            .all(|v| v.contains("replay mismatch")));
     }
 
     #[test]
     fn out_of_sequence_seq_falls_back_to_sparse() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::default();
         t.record_send(&msg(1, 8, 0xA));
         t.record_send(&msg(7, 8, 0xB)); // gap: seqs 2..=6 never seen
         assert_eq!(t.distinct_messages(), 2);

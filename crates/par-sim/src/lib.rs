@@ -50,7 +50,7 @@ use det_sim::{SimDuration, SimTime};
 use mps_sim::engine::key;
 use mps_sim::{
     Application, ClusterMap, Gauges, LogDelta, Metrics, Protocol, Recorder, RecoveryPhase,
-    RemoteEnvelope, RunReport, RunStatus, ShardOutcome, Sim, SimConfig, StorageDir, Trace,
+    RemoteEnvelope, RunReport, RunStatus, ShardOutcome, Sim, SimConfig, StorageDir,
 };
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -599,15 +599,6 @@ fn merge(
     metrics.makespan = makespan;
     metrics.logged_bytes_peak = replay_log_peak(&outcomes);
 
-    let mut trace: Option<Trace> = None;
-    for o in outcomes.iter() {
-        match &mut trace {
-            None => trace = Some(o.trace.clone()),
-            Some(t) => t.absorb(o.trace.clone()),
-        }
-    }
-    let trace = trace.expect("at least one shard");
-
     let status = if limit_hit {
         RunStatus::EventLimit
     } else if outcomes.iter().all(|o| o.done) {
@@ -617,6 +608,17 @@ fn merge(
         stuck.sort_by_key(|&(r, _)| r);
         RunStatus::Deadlock(stuck.into_iter().map(|(_, d)| d).collect())
     };
+
+    // Consumes `outcomes`, so everything that reads them comes first:
+    // moving the traces keeps one copy of each shard's oracle resident.
+    let trace = outcomes
+        .into_iter()
+        .map(|o| o.trace)
+        .reduce(|mut t, other| {
+            t.absorb(other);
+            t
+        })
+        .expect("at least one shard");
 
     // One global `on_run_end`, with gauges synthesized from the merged
     // metrics (the live queue/inflight gauges are per-shard notions that

@@ -7,8 +7,8 @@
 //! `i` of the expansion.
 
 use crate::spec::{
-    CheckpointPolicySpec, ClusterStrategy, FailureModelSpec, FailureSpec, NetworkSpec,
-    ProtocolSpec, ScenarioSpec, TopologySpec,
+    CheckpointPolicySpec, ClusterStrategy, FailureModelSpec, NetworkSpec, ProtocolSpec,
+    ScenarioSpec, TopologySpec,
 };
 use workloads::WorkloadSpec;
 
@@ -27,9 +27,7 @@ pub struct Matrix {
     /// Interconnect topologies; default `[TopologySpec::Flat]`.
     pub topologies: Vec<TopologySpec>,
     /// Checkpoint-scheduling policies overriding each protocol's own
-    /// setting; default "leave protocols as specified". The canonical
-    /// axis — the [`Matrix::checkpoint_ms`] sugar folds into it at the
-    /// builder boundary.
+    /// setting; default "leave protocols as specified".
     pub checkpoint_policies: Vec<CheckpointPolicySpec>,
     /// Failure models (fixed schedules and/or stochastic regimes);
     /// default `[no failures]`. Sweeps cross protocols × failure
@@ -78,34 +76,11 @@ impl Matrix {
         self
     }
 
-    /// Sugar, kept as a thin shim: each interval becomes one periodic
-    /// (or `None` = disabled) [`CheckpointPolicySpec`] on the canonical
-    /// `checkpoint_policies` axis, at its call-order position. Pinned
-    /// bit-for-bit against the explicit-policy spelling by
-    /// `sugar_shims_are_bit_for_bit_equal_to_the_canonical_axes`.
-    pub fn checkpoint_ms(mut self, c: impl IntoIterator<Item = Option<u64>>) -> Self {
-        self.checkpoint_policies
-            .extend(c.into_iter().map(|ms| match ms {
-                Some(interval_ms) => CheckpointPolicySpec::periodic(interval_ms),
-                None => CheckpointPolicySpec::None,
-            }));
-        self
-    }
-
     pub fn checkpoint_policies(
         mut self,
         p: impl IntoIterator<Item = CheckpointPolicySpec>,
     ) -> Self {
         self.checkpoint_policies.extend(p);
-        self
-    }
-
-    /// Sugar, kept as a thin shim: each hand-written schedule becomes
-    /// one [`FailureModelSpec::Fixed`] value on the canonical
-    /// `failure_models` axis.
-    pub fn failure_schedules(mut self, f: impl IntoIterator<Item = Vec<FailureSpec>>) -> Self {
-        self.failure_models
-            .extend(f.into_iter().map(FailureModelSpec::Fixed));
         self
     }
 
@@ -244,6 +219,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::FailureSpec;
     use workloads::NasBench;
 
     #[test]
@@ -297,8 +273,14 @@ mod tests {
             .protocols([ProtocolSpec::Native, ProtocolSpec::hydee()])
             .clusters([ClusterStrategy::Single, ClusterStrategy::Blocks(4)])
             .networks([NetworkSpec::Mx, NetworkSpec::Tcp])
-            .checkpoint_ms([None, Some(100)])
-            .failure_schedules([vec![], vec![FailureSpec::at_ms(1, vec![0])]]);
+            .checkpoint_policies([
+                CheckpointPolicySpec::None,
+                CheckpointPolicySpec::periodic(100),
+            ])
+            .failure_models([
+                FailureModelSpec::none(),
+                FailureModelSpec::Fixed(vec![FailureSpec::at_ms(1, vec![0])]),
+            ]);
         let specs = m.expand();
         // Native takes a single point on the checkpoint axis (1), hydee
         // the full axis (2): 2 workloads x 3 x 2 clusters x 2 networks x
@@ -346,7 +328,7 @@ mod tests {
                 bytes: 8,
             }])
             .protocols([ProtocolSpec::hydee()])
-            .checkpoint_ms([Some(40), Some(250)]);
+            .checkpoint_policies([40, 250].map(CheckpointPolicySpec::periodic));
         let specs = m.expand();
         assert_eq!(specs.len(), 2);
         for (spec, ms) in specs.iter().zip([40u64, 250]) {
@@ -360,46 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn sugar_shims_are_bit_for_bit_equal_to_the_canonical_axes() {
-        let w = WorkloadSpec::NetPipe {
-            rounds: 2,
-            bytes: 512,
-        };
-        let fail = FailureSpec::at_us(300, vec![0]);
-        let sugar = Matrix::new()
-            .workloads([w.clone()])
-            .protocols([ProtocolSpec::hydee()])
-            .checkpoint_ms([None, Some(40)])
-            .failure_schedules([vec![], vec![fail.clone()]]);
-        let canonical = Matrix::new()
-            .workloads([w])
-            .protocols([ProtocolSpec::hydee()])
-            .checkpoint_policies([
-                CheckpointPolicySpec::None,
-                CheckpointPolicySpec::periodic(40),
-            ])
-            .failure_models([
-                FailureModelSpec::none(),
-                FailureModelSpec::Fixed(vec![fail]),
-            ]);
-        let a = sugar.expand();
-        let b = canonical.expand();
-        assert_eq!(a, b, "shims must hit the canonical axes exactly");
-        // And the runs themselves are bit-for-bit equal (digests
-        // included), serialized record against serialized record.
-        for (x, y) in crate::Executor::serial()
-            .run(&a)
-            .iter()
-            .zip(&crate::Executor::serial().run(&b))
-        {
-            assert_eq!(
-                serde_json::to_string(x).unwrap(),
-                serde_json::to_string(y).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn policy_axis_merges_interval_sugar_and_explicit_policies() {
         let m = Matrix::new()
             .workloads([WorkloadSpec::NetPipe {
@@ -407,7 +349,10 @@ mod tests {
                 bytes: 8,
             }])
             .protocols([ProtocolSpec::Native, ProtocolSpec::hydee()])
-            .checkpoint_ms([None, Some(40)])
+            .checkpoint_policies([
+                CheckpointPolicySpec::None,
+                CheckpointPolicySpec::periodic(40),
+            ])
             .checkpoint_policies([
                 CheckpointPolicySpec::YoungDaly {
                     first_ms: None,

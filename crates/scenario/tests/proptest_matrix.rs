@@ -3,7 +3,10 @@
 //! axis contents.
 
 use proptest::prelude::*;
-use scenario::{ClusterStrategy, FailureSpec, Matrix, NetworkSpec, ProtocolSpec};
+use scenario::{
+    CheckpointPolicySpec, ClusterStrategy, FailureModelSpec, FailureSpec, Matrix, NetworkSpec,
+    ProtocolSpec,
+};
 use workloads::WorkloadSpec;
 
 fn arb_workloads() -> impl Strategy<Value = Vec<WorkloadSpec>> {
@@ -43,7 +46,18 @@ fn arb_clusters() -> impl Strategy<Value = Vec<ClusterStrategy>> {
     })
 }
 
-fn arb_schedules() -> impl Strategy<Value = Vec<Vec<FailureSpec>>> {
+fn arb_ckpts() -> impl Strategy<Value = Vec<CheckpointPolicySpec>> {
+    (0usize..3).prop_map(|n| {
+        [
+            CheckpointPolicySpec::None,
+            CheckpointPolicySpec::periodic(40),
+            CheckpointPolicySpec::periodic(100),
+        ][..n]
+            .to_vec()
+    })
+}
+
+fn arb_schedules() -> impl Strategy<Value = Vec<FailureModelSpec>> {
     prop::collection::vec(
         prop::collection::vec(
             (1u64..500, 0u32..8).prop_map(|(ms, r)| FailureSpec::at_ms(ms, vec![r])),
@@ -54,7 +68,7 @@ fn arb_schedules() -> impl Strategy<Value = Vec<Vec<FailureSpec>>> {
     .prop_map(|mut ss| {
         ss.sort_by_key(|s| s.iter().map(|f| f.name()).collect::<Vec<_>>());
         ss.dedup();
-        ss
+        ss.into_iter().map(FailureModelSpec::Fixed).collect()
     })
 }
 
@@ -65,7 +79,7 @@ proptest! {
         protocols in arb_protocols(),
         clusters in arb_clusters(),
         use_tcp in any::<bool>(),
-        ckpts in (0usize..3).prop_map(|n| [None, Some(40u64), Some(100)][..n].to_vec()),
+        ckpts in arb_ckpts(),
         schedules in arb_schedules(),
     ) {
         let networks = if use_tcp {
@@ -78,8 +92,8 @@ proptest! {
             .protocols(protocols.clone())
             .clusters(clusters.clone())
             .networks(networks.clone())
-            .checkpoint_ms(ckpts.clone())
-            .failure_schedules(schedules.clone());
+            .checkpoint_policies(ckpts.clone())
+            .failure_models(schedules.clone());
         let specs = matrix.expand();
 
         // Exact count: empty axes collapse to a singleton default, and
@@ -123,12 +137,11 @@ proptest! {
             for c in clusters.iter().copied().chain(
                 clusters.is_empty().then_some(ClusterStrategy::Single),
             ) {
-                for f in schedules.iter().chain(
-                    schedules.is_empty().then_some(&Vec::new()),
+                for f in schedules.iter().cloned().chain(
+                    schedules.is_empty().then(FailureModelSpec::none),
                 ) {
-                    let model = scenario::FailureModelSpec::Fixed(f.clone());
                     let hits = specs.iter().filter(|s| {
-                        s.workload == *w && s.clusters == c && s.failure_model == model
+                        s.workload == *w && s.clusters == c && s.failure_model == f
                     }).count();
                     prop_assert_eq!(hits, protocol_points * networks.len().max(1));
                 }
