@@ -91,7 +91,8 @@ fn bench_inbox(c: &mut Criterion) {
             black_box(ib.len())
         })
     });
-    // Wildcard matching must scan only the channels of its tag.
+    // Wildcard matching over a deep inbox: each `take_any` scans every
+    // pending message (up to 256).
     g.bench_function("push_take_any_8k", |b| {
         b.iter(|| {
             let mut ib = Inbox::new();
@@ -105,6 +106,25 @@ fn bench_inbox(c: &mut Criterion) {
                 }
                 for _ in 0..256 {
                     black_box(ib.take_any(mps_sim::Tag(round as u32)));
+                }
+            }
+            black_box(ib.len())
+        })
+    });
+    // The stencil pattern (DESIGN.md §3): 4 neighbours, one message each
+    // per iteration, a fresh tag every iteration, drained by specific
+    // receives before the next.
+    g.bench_function("stencil_4src_new_tag_8k", |b| {
+        b.iter(|| {
+            let mut ib = Inbox::new();
+            let mut seq = 0u64;
+            for round in 0..2_048u32 {
+                for src in 0..4u32 {
+                    seq += 1;
+                    ib.push(msg(src, round, seq), seq, SimDuration::ZERO);
+                }
+                for src in (0..4u32).rev() {
+                    black_box(ib.take_specific(Rank(src), mps_sim::Tag(round)));
                 }
             }
             black_box(ib.len())

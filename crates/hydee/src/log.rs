@@ -12,10 +12,15 @@
 //! Logs are part of the process checkpoint (Algorithm 1, line 21): the
 //! structure is `Clone` and a rollback replaces it with the checkpointed
 //! copy.
+//!
+//! ## Layout
+//!
+//! A [`PeerMap`] from destination to its entries in date order (sends are
+//! sequential, so `append` pushes); replay selection and pruning cut a
+//! channel's entries at a binary search.
 
-use mps_sim::{Message, Rank, Tag};
+use mps_sim::{Message, PeerMap, Rank, Tag};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One logged message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,9 +56,9 @@ impl LogEntry {
 }
 
 /// Sender-side log of one process, organised per destination.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SenderLog {
-    by_dst: BTreeMap<Rank, Vec<LogEntry>>,
+    by_dst: PeerMap<Vec<LogEntry>>,
     total_bytes: u64,
     total_messages: u64,
 }
@@ -68,7 +73,7 @@ impl SenderLog {
     pub fn append(&mut self, entry: LogEntry) {
         debug_assert!(
             self.by_dst
-                .get(&entry.dst)
+                .get(entry.dst)
                 .and_then(|v| v.last())
                 .map(|last| last.date < entry.date)
                 .unwrap_or(true),
@@ -76,7 +81,7 @@ impl SenderLog {
         );
         self.total_bytes += entry.bytes;
         self.total_messages += 1;
-        self.by_dst.entry(entry.dst).or_default().push(entry);
+        self.by_dst.get_or_default(entry.dst).push(entry);
     }
 
     /// Entries destined to `dst` with sender date strictly greater than
@@ -84,7 +89,7 @@ impl SenderLog {
     /// date order — the replay set of Algorithm 3.
     pub fn replay_set(&self, dst: Rank, have_up_to: u64) -> Vec<LogEntry> {
         self.by_dst
-            .get(&dst)
+            .get(dst)
             .map(|v| {
                 let start = v.partition_point(|e| e.date <= have_up_to);
                 v[start..].to_vec()
@@ -95,7 +100,7 @@ impl SenderLog {
     /// Garbage-collect entries destined to `dst` with sender date at or
     /// below `acked_up_to`. Returns `(messages, bytes)` reclaimed.
     pub fn prune(&mut self, dst: Rank, acked_up_to: u64) -> (u64, u64) {
-        let Some(v) = self.by_dst.get_mut(&dst) else {
+        let Some(v) = self.by_dst.get_mut(dst) else {
             return (0, 0);
         };
         let cut = v.partition_point(|e| e.date <= acked_up_to);
@@ -122,7 +127,7 @@ impl SenderLog {
 
     /// Iterate all entries (destination order, then date order).
     pub fn iter(&self) -> impl Iterator<Item = &LogEntry> {
-        self.by_dst.values().flatten()
+        self.by_dst.iter().flat_map(|(_, v)| v)
     }
 }
 

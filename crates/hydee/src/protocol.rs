@@ -30,8 +30,8 @@ use crate::recovery::RecoveryProcess;
 use crate::state::{HydeeState, RecoveryRole};
 use det_sim::{SimDuration, SimTime};
 use mps_sim::{
-    CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PolicyObs, Protocol, Rank, SendAction,
-    SendDirective, SendInfo,
+    CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PeerMap, PolicyObs, Protocol, Rank,
+    SendAction, SendDirective, SendInfo,
 };
 use net_model::StorageLedger;
 use std::collections::BTreeSet;
@@ -212,7 +212,10 @@ impl Hydee {
             // GC epoch bookkeeping: remember what this checkpoint covers
             // and arm the acknowledgement-on-first-delivery markers.
             st.ckpt_date = st.date;
-            st.ckpt_maxdates = st.rpp.sources().map(|s| (s, st.rpp.maxdate(s))).collect();
+            st.ckpt_maxdates = PeerMap::new();
+            for s in st.rpp.sources() {
+                *st.ckpt_maxdates.get_or_default(s) = st.rpp.maxdate(s);
+            }
             st.ack_pending = st
                 .rpp
                 .sources()
@@ -606,10 +609,12 @@ impl Protocol for Hydee {
                 .record(msg.src, msg.meta.date, msg.meta.phase);
             // GC §III-E: acknowledge the first delivery from each external
             // peer after a checkpoint with what that checkpoint covers.
-            if self.cfg.gc && self.states[me].ack_pending.remove(&msg.src) {
-                let st = &self.states[me];
+            let st = &mut self.states[me];
+            let acked = st.ack_pending.binary_search(&msg.src).ok();
+            if let (true, Some(i)) = (self.cfg.gc, acked) {
+                st.ack_pending.remove(i);
                 let ack = HydeeCtl::CkptAck {
-                    your_maxdate: st.ckpt_maxdates.get(&msg.src).copied().unwrap_or(0),
+                    your_maxdate: st.ckpt_maxdates.get(msg.src).copied().unwrap_or(0),
                     my_ckpt_date: st.ckpt_date,
                 };
                 let bytes = ack.wire_bytes();

@@ -12,24 +12,28 @@
 //!
 //! Dates are *sender-domain*: the entry for channel `q -> me` is keyed by
 //! `q`'s event dates (see `DESIGN.md` §3 on date domains).
+//!
+//! ## Layout
+//!
+//! A [`PeerMap`] of channels, each a date-ascending `Vec` of `(date, phase)`:
+//! FIFO delivery makes `record` an append, and `orphan_phases` and `prune`
+//! cut the list at a binary search.
 
-use mps_sim::Rank;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use mps_sim::{PeerMap, Rank};
 
 /// State of one incoming channel.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelRpp {
     /// Sender date of the most recent message received on this channel.
     pub maxdate: u64,
-    /// Phase of each received message, keyed by sender date.
-    pub phases: BTreeMap<u64, u64>,
+    /// `(sender date, phase)` of each received message, date-ascending.
+    pub phases: Vec<(u64, u64)>,
 }
 
 /// Received-Per-Phase table of one process.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Rpp {
-    channels: BTreeMap<Rank, ChannelRpp>,
+    channels: PeerMap<ChannelRpp>,
 }
 
 impl Rpp {
@@ -43,9 +47,9 @@ impl Rpp {
     /// FIFO channels deliver dates in increasing order; the debug assert
     /// catches protocol violations.
     pub fn record(&mut self, src: Rank, date: u64, phase: u64) {
-        let ch = self.channels.entry(src).or_default();
+        let ch = self.channels.get_or_default(src);
         // Strictly monotone, even when GC has emptied `phases`: an empty
-        // phase map says nothing about what was already received —
+        // phase list says nothing about what was already received —
         // `maxdate` is the FIFO horizon and may never move backwards, or
         // a restarted sender's suppression window silently shrinks.
         debug_assert!(
@@ -54,12 +58,12 @@ impl Rpp {
             ch.maxdate
         );
         ch.maxdate = ch.maxdate.max(date);
-        ch.phases.insert(date, phase);
+        ch.phases.push((date, phase));
     }
 
     /// `maxdate` for the channel from `src` (0 when nothing received).
     pub fn maxdate(&self, src: Rank) -> u64 {
-        self.channels.get(&src).map(|c| c.maxdate).unwrap_or(0)
+        self.channels.get(src).map(|c| c.maxdate).unwrap_or(0)
     }
 
     /// Phases of messages from `src` with sender date strictly greater
@@ -67,12 +71,10 @@ impl Rpp {
     /// its date back to `rolled_back_to` (Algorithm 3, lines 13–14).
     pub fn orphan_phases(&self, src: Rank, rolled_back_to: u64) -> Vec<u64> {
         self.channels
-            .get(&src)
+            .get(src)
             .map(|c| {
-                c.phases
-                    .range(rolled_back_to + 1..)
-                    .map(|(_, &p)| p)
-                    .collect()
+                let start = c.phases.partition_point(|&(d, _)| d <= rolled_back_to);
+                c.phases[start..].iter().map(|&(_, p)| p).collect()
             })
             .unwrap_or_default()
     }
@@ -80,24 +82,24 @@ impl Rpp {
     /// Drop entries for channel `src` with date strictly below `below`
     /// (garbage collection, §III-E). Returns the number pruned.
     pub fn prune(&mut self, src: Rank, below: u64) -> usize {
-        match self.channels.get_mut(&src) {
+        match self.channels.get_mut(src) {
             None => 0,
             Some(ch) => {
-                let before = ch.phases.len();
-                ch.phases = ch.phases.split_off(&below);
-                before - ch.phases.len()
+                let cut = ch.phases.partition_point(|&(d, _)| d < below);
+                ch.phases.drain(..cut);
+                cut
             }
         }
     }
 
-    /// Channels with at least one recorded message.
+    /// Channels with at least one recorded message, in rank order.
     pub fn sources(&self) -> impl Iterator<Item = Rank> + '_ {
-        self.channels.keys().copied()
+        self.channels.keys()
     }
 
     /// Total entries held (for memory accounting).
     pub fn len(&self) -> usize {
-        self.channels.values().map(|c| c.phases.len()).sum()
+        self.channels.iter().map(|(_, c)| c.phases.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {

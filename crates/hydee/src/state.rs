@@ -7,7 +7,7 @@
 
 use crate::log::SenderLog;
 use crate::rpp::Rpp;
-use mps_sim::Rank;
+use mps_sim::{PeerMap, Rank};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,7 +24,7 @@ pub enum RecoveryRole {
 }
 
 /// Protocol state of one process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HydeeState {
     // ---- persistent (checkpointed) ----
     /// Event date: incremented on every send and every delivery
@@ -39,10 +39,11 @@ pub struct HydeeState {
     pub ckpt_date: u64,
     /// `rpp.maxdate` per channel at the last checkpoint (GC: tells each
     /// sender how far its log is covered by our checkpoint).
-    pub ckpt_maxdates: BTreeMap<Rank, u64>,
+    pub ckpt_maxdates: PeerMap<u64>,
     /// External peers that still owe a CkptAck for the current checkpoint
-    /// epoch (ack rides on the first delivery from each).
-    pub ack_pending: BTreeSet<Rank>,
+    /// epoch (ack rides on the first delivery from each): built sorted from
+    /// `rpp.sources()` at each checkpoint, then only removed from.
+    pub ack_pending: Vec<Rank>,
 
     // ---- recovery-transient (never checkpointed) ----
     pub role: RecoveryRole,
@@ -99,11 +100,6 @@ impl HydeeState {
     /// Bytes this state contributes to a checkpoint (metadata + logs).
     pub fn checkpoint_bytes(&self) -> u64 {
         64 + self.log.bytes() + 16 * self.rpp.len() as u64
-    }
-
-    /// Test/instrumentation probe: number of RPP entries currently held.
-    pub fn delivered_probe(&self) -> usize {
-        self.rpp.len()
     }
 }
 

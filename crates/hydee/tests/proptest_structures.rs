@@ -1,12 +1,148 @@
 //! Property tests on HydEE's core data structures: the RPP table, the
 //! sender log, and the recovery process's phase-release engine.
+//!
+//! `Rpp` and `SenderLog` are flat (`PeerMap`s of sorted `Vec`s); the
+//! `*_matches_btreemap_model` properties drive each through random
+//! operation sequences beside a `BTreeMap` reference model and compare
+//! every observable after every operation.
 
 use hydee::{LogEntry, RecoveryProcess, Rpp, SenderLog};
 use mps_sim::{Rank, Tag};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Peers are drawn from a small range so channels are revisited.
+const PEERS: u32 = 5;
+
+/// RPP reference model: per source, `maxdate` and a date-keyed phase map.
+type RppModel = BTreeMap<Rank, (u64, BTreeMap<u64, u64>)>;
+
+fn assert_rpp_matches(rpp: &Rpp, model: &RppModel, cut: u64) {
+    prop_assert_eq!(
+        rpp.sources().collect::<Vec<_>>(),
+        model.keys().copied().collect::<Vec<_>>(),
+        "sources diverged"
+    );
+    let len: usize = model.values().map(|(_, phases)| phases.len()).sum();
+    prop_assert_eq!(rpp.len(), len);
+    prop_assert_eq!(rpp.is_empty(), len == 0);
+    for src in (0..PEERS).map(Rank) {
+        let (maxdate, phases) = model.get(&src).cloned().unwrap_or_default();
+        prop_assert_eq!(rpp.maxdate(src), maxdate);
+        for c in [0, cut, maxdate.saturating_sub(1), maxdate] {
+            let expected: Vec<u64> = phases.range(c + 1..).map(|(_, &p)| p).collect();
+            prop_assert_eq!(
+                rpp.orphan_phases(src, c),
+                expected,
+                "orphans of {} after {}",
+                src,
+                c
+            );
+        }
+    }
+}
+
+/// Sender-log reference model: per destination, a date-keyed entry map.
+type LogModel = BTreeMap<Rank, BTreeMap<u64, LogEntry>>;
+
+fn assert_log_matches(log: &SenderLog, model: &LogModel, cut: u64) {
+    let all: Vec<LogEntry> = model.values().flat_map(|m| m.values().copied()).collect();
+    prop_assert_eq!(
+        log.iter().copied().collect::<Vec<_>>(),
+        all.clone(),
+        "iter order diverged"
+    );
+    prop_assert_eq!(log.messages(), all.len() as u64);
+    prop_assert_eq!(log.bytes(), all.iter().map(|e| e.bytes).sum::<u64>());
+    prop_assert_eq!(log.is_empty(), all.is_empty());
+    for dst in (0..PEERS).map(Rank) {
+        let expected: Vec<LogEntry> = model
+            .get(&dst)
+            .map(|m| m.range(cut + 1..).map(|(_, &e)| e).collect())
+            .unwrap_or_default();
+        prop_assert_eq!(log.replay_set(dst, cut), expected, "replay set to {}", dst);
+    }
+}
 
 proptest! {
+    /// Ops: `(kind, peer, step, arg)`. Records advance the channel's date
+    /// by `1 + step`, so dates stay strictly increasing per channel, as
+    /// FIFO delivery guarantees.
+    #[test]
+    fn rpp_matches_btreemap_model(
+        ops in prop::collection::vec((0u8..4, 0u32..PEERS, 0u64..4, 0u64..64), 0..200),
+    ) {
+        let mut rpp = Rpp::new();
+        let mut model = RppModel::new();
+        let mut last = BTreeMap::<Rank, u64>::new();
+        for (kind, peer, step, arg) in ops {
+            let src = Rank(peer);
+            if kind < 3 {
+                let date = last.get(&src).copied().unwrap_or(0) + 1 + step;
+                last.insert(src, date);
+                let phase = arg % 7 + 1;
+                rpp.record(src, date, phase);
+                let ch = model.entry(src).or_default();
+                ch.0 = date;
+                ch.1.insert(date, phase);
+            } else {
+                let expected = model
+                    .get_mut(&src)
+                    .map(|(_, phases)| {
+                        let before = phases.len();
+                        *phases = phases.split_off(&arg);
+                        before - phases.len()
+                    })
+                    .unwrap_or(0);
+                prop_assert_eq!(rpp.prune(src, arg), expected, "prune({}, {})", src, arg);
+            }
+            assert_rpp_matches(&rpp, &model, arg);
+        }
+        let snapshot = rpp.clone();
+        assert_rpp_matches(&snapshot, &model, 0);
+    }
+
+    /// Ops: `(kind, peer, bytes, arg)`. Appends take the next date of the
+    /// sending process, so dates increase per destination.
+    #[test]
+    fn sender_log_matches_btreemap_model(
+        ops in prop::collection::vec((0u8..4, 0u32..PEERS, 1u64..100, 0u64..400), 0..200),
+    ) {
+        let mut log = SenderLog::new();
+        let mut model = LogModel::new();
+        let mut date = 0u64;
+        for (kind, peer, bytes, arg) in ops {
+            let dst = Rank(peer);
+            if kind < 3 {
+                date += 1 + arg % 3;
+                let entry = LogEntry {
+                    date,
+                    phase: arg % 5 + 1,
+                    dst,
+                    tag: Tag(peer),
+                    bytes,
+                    payload: date * 31,
+                    channel_seq: date,
+                };
+                log.append(entry);
+                model.entry(dst).or_default().insert(date, entry);
+            } else {
+                let expected = model
+                    .get_mut(&dst)
+                    .map(|m| {
+                        let kept = m.split_off(&(arg + 1));
+                        let gone = std::mem::replace(m, kept);
+                        (gone.len() as u64, gone.values().map(|e| e.bytes).sum())
+                    })
+                    .unwrap_or((0, 0));
+                prop_assert_eq!(log.prune(dst, arg), expected, "prune({}, {})", dst, arg);
+            }
+            assert_log_matches(&log, &model, arg);
+        }
+        let snapshot = log.clone();
+        assert_log_matches(&snapshot, &model, 0);
+    }
+
     #[test]
     fn rpp_orphans_partition_on_rollback_date(
         dates in prop::collection::btree_set(1u64..10_000, 0..100),

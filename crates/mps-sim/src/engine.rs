@@ -30,13 +30,13 @@ use crate::app::{AppState, DetMode};
 use crate::failure::FailureModel;
 use crate::inbox::Inbox;
 use crate::metrics::Metrics;
+use crate::peer_map::PeerMap;
 use crate::program::{Application, Op, RankProgram};
 use crate::protocol::{Protocol, SendAction, SendInfo};
 use crate::trace::Trace;
 use crate::types::{Endpoint, Message, Rank};
 use det_sim::{EventHandle, FxHashMap, Scheduler, SimDuration, SimTime};
 use net_model::{CostCache, LinkClass, MsgCost, MxModel, NetworkModel, Topology};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::{Gauges, Recorder};
 
@@ -232,7 +232,7 @@ pub struct RankSnapshot {
     pc: usize,
     app: AppState,
     inbox: Inbox,
-    send_seq: BTreeMap<Rank, u64>,
+    send_seq: PeerMap<u64>,
 }
 
 impl RankSnapshot {
@@ -272,7 +272,7 @@ struct RankState {
     app: AppState,
     inbox: Inbox,
     /// Last used per-destination channel sequence number.
-    send_seq: BTreeMap<Rank, u64>,
+    send_seq: PeerMap<u64>,
 }
 
 pub(crate) enum Event {
@@ -570,7 +570,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
                 gated: false,
                 app: AppState::new(Rank(i as u32), config.det_mode),
                 inbox: Inbox::new(),
-                send_seq: BTreeMap::new(),
+                send_seq: PeerMap::new(),
             })
             .collect();
         let mut core = Core {
@@ -866,11 +866,6 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
         self.core.ranks[rank.idx()].status == Status::Done
     }
 
-    /// Is `rank` currently failed (crashed, not yet restored)?
-    pub fn is_failed(&self, rank: Rank) -> bool {
-        self.core.ranks[rank.idx()].status == Status::Failed
-    }
-
     /// Access run metrics (protocols update their own counters here).
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.core.metrics
@@ -946,10 +941,6 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
             self.core
                 .schedule_event(at, key::exec(rank, epoch), Event::Exec { rank, epoch });
         }
-    }
-
-    pub fn is_gated(&self, rank: Rank) -> bool {
-        self.core.ranks[rank.idx()].gated
     }
 
     /// Capture `rank`'s execution state for a checkpoint.
@@ -1355,7 +1346,6 @@ impl<P: Protocol> Sim<P> {
                     from,
                     ctl,
                 );
-                self.drain_wakeups();
             }
             Event::Timer { id } => {
                 self.protocol.on_timer(
@@ -1364,7 +1354,6 @@ impl<P: Protocol> Sim<P> {
                     },
                     id,
                 );
-                self.drain_wakeups();
             }
             Event::Failure { ranks, from_model } => {
                 self.core.metrics.failures += 1;
@@ -1392,7 +1381,6 @@ impl<P: Protocol> Sim<P> {
                     },
                     &ranks,
                 );
-                self.drain_wakeups();
                 // Lazy pull: this model event fired, ask for the next.
                 if from_model {
                     self.model_event = None;
@@ -1522,10 +1510,6 @@ impl<P: Protocol> Sim<P> {
         }
     }
 
-    /// No-op hook kept for symmetry; protocol actions that resume ranks
-    /// (gate reopening, restores) schedule their own Exec events.
-    fn drain_wakeups(&mut self) {}
-
     /// Per-stuck-rank diagnostics, keyed by rank id so a sharded run can
     /// merge shards' diagnoses into one globally ordered list. Only ranks
     /// this engine owns are reported.
@@ -1599,7 +1583,7 @@ impl<P: Protocol> Sim<P> {
                     }
                     let seq = self.core.ranks[rank.idx()]
                         .send_seq
-                        .get(&dst)
+                        .get(dst)
                         .copied()
                         .unwrap_or(0)
                         + 1;
@@ -1627,7 +1611,7 @@ impl<P: Protocol> Sim<P> {
                         }
                         SendAction::Suppress => {
                             let rs = &mut self.core.ranks[rank.idx()];
-                            rs.send_seq.insert(dst, seq);
+                            *rs.send_seq.get_or_default(dst) = seq;
                             rs.pc = pc + 1;
                             rs.clock += directive.extra_sender_time;
                             self.core.metrics.suppressed_sends += 1;
@@ -1648,7 +1632,7 @@ impl<P: Protocol> Sim<P> {
                         }
                         SendAction::Proceed => {
                             let rs = &mut self.core.ranks[rank.idx()];
-                            rs.send_seq.insert(dst, seq);
+                            *rs.send_seq.get_or_default(dst) = seq;
                             rs.pc = pc + 1;
                             let msg = Message {
                                 src: rank,

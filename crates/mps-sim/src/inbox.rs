@@ -10,22 +10,21 @@
 //!
 //! ## Layout (DESIGN.md §2.1)
 //!
-//! One `Ring` buffer per `(tag, src)` channel: a specific receive is a
-//! map lookup plus an O(1) `pop_front`, and a wildcard receive scans only
-//! the channels *of its tag* (the map is keyed tag-major) instead of every
-//! channel of the rank. The ring recycles its backing storage in place —
-//! the previous implementation `Vec::remove(0)`-ed the head, memmoving the
-//! whole queue on every delivery.
+//! One `Vec` of pending messages in push order, scanned linearly. A rank
+//! holds only the few messages that beat their receive, and workloads use
+//! a fresh tag per iteration (DESIGN.md §3), so per-channel queues paid an
+//! insert, a ring allocation and a removal per message, and a node-by-node
+//! copy per snapshot, to index a handful of entries. Arrival stamps come
+//! from one monotone engine counter, so the earliest-stamped match of a
+//! tag is also the oldest of its channel: wildcards keep per-channel FIFO.
 //!
 //! The inbox is part of the rank's checkpointable state: cluster-coordinated
 //! checkpoints capture it, and rollback restores it.
 
 use crate::types::{Message, Rank, Tag};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A message sitting in the inbox, with its arrival metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrived {
     pub msg: Message,
     /// Arrival order stamp (engine-global, monotone). Lower = earlier.
@@ -34,89 +33,11 @@ pub struct Arrived {
     pub recv_cost: det_sim::SimDuration,
 }
 
-/// FIFO queue over a recycled `Vec`: `push` appends, `pop_front` advances a
-/// head cursor, and the dead prefix is reclaimed in amortised O(1) —
-/// either wholesale when the ring drains or by compaction once the dead
-/// prefix dominates.
-#[derive(Debug, Clone, Default)]
-struct Ring {
-    buf: Vec<Arrived>,
-    head: usize,
-}
-
-impl Ring {
-    #[inline]
-    fn live(&self) -> &[Arrived] {
-        &self.buf[self.head..]
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    #[inline]
-    fn push(&mut self, a: Arrived) {
-        self.buf.push(a);
-    }
-
-    #[inline]
-    fn front(&self) -> Option<&Arrived> {
-        self.buf.get(self.head)
-    }
-
-    fn pop_front(&mut self) -> Option<Arrived> {
-        let a = *self.buf.get(self.head)?;
-        self.head += 1;
-        if self.head == self.buf.len() {
-            // Drained: reuse the allocation from the start.
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head >= 32 && self.head * 2 >= self.buf.len() {
-            // Dead prefix dominates: slide the live tail down.
-            self.buf.copy_within(self.head.., 0);
-            self.buf.truncate(self.buf.len() - self.head);
-            self.head = 0;
-        }
-        Some(a)
-    }
-
-    fn retain(&mut self, mut pred: impl FnMut(&Arrived) -> bool) {
-        if self.head > 0 {
-            self.buf.copy_within(self.head.., 0);
-            let live = self.buf.len() - self.head;
-            self.buf.truncate(live);
-            self.head = 0;
-        }
-        self.buf.retain(|a| pred(a));
-    }
-}
-
-/// Rings compare (and serialize) by live content only — the recycled dead
-/// prefix is an implementation detail that must not distinguish snapshots.
-impl PartialEq for Ring {
-    fn eq(&self, other: &Self) -> bool {
-        self.live() == other.live()
-    }
-}
-impl Eq for Ring {}
-
-impl Serialize for Ring {
-    fn serialize_json(&self, out: &mut String) {
-        self.live().to_vec().serialize_json(out);
-    }
-}
-impl Deserialize for Ring {}
-
 /// Receive buffer for one rank.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Inbox {
-    /// Pending messages per channel, FIFO by arrival. Keyed tag-major so a
-    /// wildcard receive ranges over exactly the channels of its tag.
-    by_channel: BTreeMap<(Tag, Rank), Ring>,
-    /// Total pending messages (kept incrementally; `len()` must be O(1) —
-    /// the engine reports it per rank at the end of every run).
-    pending: usize,
+    /// Pending messages in push order.
+    pending: Vec<Arrived>,
 }
 
 impl Inbox {
@@ -125,93 +46,66 @@ impl Inbox {
     }
 
     pub fn push(&mut self, msg: Message, arrival_seq: u64, recv_cost: det_sim::SimDuration) {
-        self.by_channel
-            .entry((msg.tag, msg.src))
-            .or_default()
-            .push(Arrived {
-                msg,
-                arrival_seq,
-                recv_cost,
-            });
-        self.pending += 1;
+        self.pending.push(Arrived {
+            msg,
+            arrival_seq,
+            recv_cost,
+        });
     }
 
     /// Total number of pending messages.
     pub fn len(&self) -> usize {
-        self.pending
+        self.pending.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.pending.is_empty()
     }
 
     /// Match a specific receive: oldest pending from `(src, tag)`.
     pub fn take_specific(&mut self, src: Rank, tag: Tag) -> Option<Arrived> {
-        let ring = self.by_channel.get_mut(&(tag, src))?;
-        let taken = ring.pop_front();
-        if taken.is_some() {
-            self.pending -= 1;
-            if ring.len() == 0 {
-                // Workloads tag each communication epoch (DESIGN.md §3), so
-                // drained channels are dead weight: reclaim them or the map
-                // grows with every epoch of the run.
-                self.by_channel.remove(&(tag, src));
-            }
-        }
-        taken
+        let i = self
+            .pending
+            .iter()
+            .position(|a| a.msg.src == src && a.msg.tag == tag)?;
+        Some(self.pending.remove(i))
     }
 
     /// Match a wildcard receive: earliest-arrived pending with `tag`,
-    /// breaking exact ties by source rank (deterministic).
+    /// breaking exact ties by source rank (deterministic), then by push
+    /// order.
     pub fn take_any(&mut self, tag: Tag) -> Option<Arrived> {
-        let best_key = self
-            .channels_of(tag)
-            .filter_map(|(&key, ring)| ring.front().map(|a| (a.arrival_seq, key)))
-            .min()
-            .map(|(_, key)| key)?;
-        self.pending -= 1;
-        let ring = self.by_channel.get_mut(&best_key).unwrap();
-        let taken = ring.pop_front();
-        if ring.len() == 0 {
-            self.by_channel.remove(&best_key);
-        }
-        taken
+        let (i, _) = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.msg.tag == tag)
+            .min_by_key(|(_, a)| (a.arrival_seq, a.msg.src))?;
+        Some(self.pending.remove(i))
     }
 
     /// Does a matching message exist for a specific receive?
     pub fn has_specific(&self, src: Rank, tag: Tag) -> bool {
-        self.by_channel
-            .get(&(tag, src))
-            .is_some_and(|q| q.len() > 0)
+        self.pending
+            .iter()
+            .any(|a| a.msg.src == src && a.msg.tag == tag)
     }
 
     /// Does a matching message exist for a wildcard receive?
     pub fn has_any(&self, tag: Tag) -> bool {
-        self.channels_of(tag).any(|(_, q)| q.len() > 0)
+        self.pending.iter().any(|a| a.msg.tag == tag)
     }
 
-    /// The channels of one tag (tag-major key order makes this a range).
-    fn channels_of(&self, tag: Tag) -> impl Iterator<Item = (&(Tag, Rank), &Ring)> {
-        self.by_channel
-            .range((tag, Rank(0))..=(tag, Rank(u32::MAX)))
-    }
-
-    /// Iterate pending messages (arbitrary but deterministic order).
+    /// Iterate pending messages in push order.
     pub fn iter(&self) -> impl Iterator<Item = &Arrived> {
-        self.by_channel.values().flat_map(|r| r.live().iter())
+        self.pending.iter()
     }
 
     /// Keep only pending messages satisfying `pred` (used when
     /// checkpointing: inter-cluster channel state is excluded because
     /// sender-based logs own it).
     pub fn retain(&mut self, mut pred: impl FnMut(&Message) -> bool) {
-        let mut pending = 0;
-        for q in self.by_channel.values_mut() {
-            q.retain(|a| pred(&a.msg));
-            pending += q.len();
-        }
-        self.by_channel.retain(|_, q| q.len() > 0);
-        self.pending = pending;
+        self.pending.retain(|a| pred(&a.msg));
     }
 }
 

@@ -38,6 +38,7 @@ pub mod engine;
 pub mod failure;
 pub mod inbox;
 pub mod metrics;
+pub mod peer_map;
 pub mod policy;
 pub mod program;
 pub mod protocol;
@@ -55,6 +56,7 @@ pub use failure::{
 };
 pub use inbox::{Arrived, Inbox};
 pub use metrics::Metrics;
+pub use peer_map::PeerMap;
 pub use policy::{
     CheckpointPolicy, CheckpointPolicyConfig, LogPressure, Periodic, PolicyObs, YoungDaly,
 };

@@ -1,0 +1,114 @@
+//! Per-peer tables on the per-message path (DESIGN.md §2.1).
+//!
+//! Channel sequence numbers, HydEE's RPP and its sender log are keyed by
+//! peer rank, touched on every send or delivery and copied into every
+//! checkpoint, and a rank has few peers. A sorted `Vec<(Rank, V)>` is a
+//! binary search per lookup, one allocation per snapshot clone, and
+//! iterates in rank order like the `BTreeMap` it replaces. It grows as
+//! channels are first used: no channel table is built at set-up.
+
+use crate::types::Rank;
+
+/// A map from peer rank to `V`, stored as a `Vec` sorted by rank.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeerMap<V> {
+    entries: Vec<(Rank, V)>,
+}
+
+impl<V> Default for PeerMap<V> {
+    fn default() -> Self {
+        PeerMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V> PeerMap<V> {
+    pub fn new() -> Self {
+        PeerMap::default()
+    }
+
+    #[inline]
+    fn find(&self, peer: Rank) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&peer, |&(r, _)| r)
+    }
+
+    #[inline]
+    pub fn get(&self, peer: Rank) -> Option<&V> {
+        self.find(peer).ok().map(|i| &self.entries[i].1)
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, peer: Rank) -> Option<&mut V> {
+        self.find(peer).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// The entry for `peer`, inserted in rank order as `V::default()` if
+    /// absent.
+    #[inline]
+    pub fn get_or_default(&mut self, peer: Rank) -> &mut V
+    where
+        V: Default,
+    {
+        let i = self.find(peer).unwrap_or_else(|i| {
+            self.entries.insert(i, (peer, V::default()));
+            i
+        });
+        &mut self.entries[i].1
+    }
+
+    /// Entries in ascending rank order.
+    pub fn iter(&self) -> impl Iterator<Item = (Rank, &V)> {
+        self.entries.iter().map(|(r, v)| (*r, v))
+    }
+
+    /// Peers in ascending rank order.
+    pub fn keys(&self) -> impl Iterator<Item = Rank> + '_ {
+        self.entries.iter().map(|&(r, _)| r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pairs(m: &PeerMap<u32>) -> Vec<(u32, u32)> {
+        m.iter().map(|(r, &v)| (r.0, v)).collect()
+    }
+
+    #[test]
+    fn inserts_keep_rank_order() {
+        let mut m = PeerMap::new();
+        for r in [5u32, 1, 9, 3, 7] {
+            *m.get_or_default(Rank(r)) = r * 10;
+        }
+        assert_eq!(m.keys().collect::<Vec<_>>(), [1, 3, 5, 7, 9].map(Rank));
+        *m.get_or_default(Rank(3)) += 1;
+        assert_eq!(pairs(&m), vec![(1, 10), (3, 31), (5, 50), (7, 70), (9, 90)]);
+    }
+
+    #[test]
+    fn get_or_default_inserts_once() {
+        let mut m: PeerMap<Vec<u32>> = PeerMap::new();
+        m.get_or_default(Rank(4)).push(1);
+        m.get_or_default(Rank(2)).push(2);
+        m.get_or_default(Rank(4)).push(3);
+        assert_eq!(m.keys().collect::<Vec<_>>(), [Rank(2), Rank(4)]);
+        assert_eq!(m.get(Rank(4)), Some(&vec![1, 3]));
+        assert_eq!(m.get(Rank(2)), Some(&vec![2]));
+    }
+
+    #[test]
+    fn missing_keys_are_absent() {
+        let mut m = PeerMap::new();
+        *m.get_or_default(Rank(6)) = 60;
+        *m.get_or_default(Rank(2)) = 20;
+        for r in [0u32, 1, 3, 5, 7, u32::MAX] {
+            assert_eq!(m.get(Rank(r)), None);
+            assert!(m.get_mut(Rank(r)).is_none());
+        }
+        *m.get_mut(Rank(6)).unwrap() += 1;
+        assert_eq!(pairs(&m), vec![(2, 20), (6, 61)]);
+        assert_eq!(PeerMap::<u32>::new().iter().count(), 0);
+    }
+}

@@ -5,13 +5,15 @@
 //! recovered execution re-emits some sends; if any re-emission differs in
 //! size or payload from the original, the execution violated
 //! send-determinism (or the protocol replayed the wrong thing) and the
-//! conflict is recorded. Memory grows with the messages on the channels
-//! actually used, never with ranks², so sharded runs can move whole
-//! traces into one merged report. The clustering graph does not come
-//! from here: it is built from declared traffic
+//! conflict is recorded. Identities sit in per-channel arrays in a hash
+//! map (nothing reads it in key order), so memory grows with the messages
+//! on the channels actually used, never with ranks², and sharded runs can
+//! move whole traces into one merged report. The clustering graph does
+//! not come from here: it is built from declared traffic
 //! (`clustering::CommGraph::from_application`).
 
 use crate::types::{ChannelId, Message};
+use det_sim::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Identity record of one application send.
@@ -36,7 +38,7 @@ pub struct SendIdentity {
 pub struct Trace {
     /// First-seen identity of each message, densely interned per channel:
     /// `dense[channel][seq - 1]`.
-    dense: BTreeMap<ChannelId, Vec<SendIdentity>>,
+    dense: FxHashMap<ChannelId, Vec<SendIdentity>>,
     /// Identities whose `channel_seq` arrived beyond the dense prefix.
     sparse: BTreeMap<(ChannelId, u64), SendIdentity>,
     /// Oracle violations discovered during the run.

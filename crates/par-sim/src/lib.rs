@@ -54,6 +54,7 @@ use mps_sim::{
 };
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::thread::ScopedJoinHandle;
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -398,14 +399,17 @@ where
     let n = sims.len();
 
     let (outcomes, barrier_rounds, limit_hit) = std::thread::scope(|scope| {
-        let mut cmd_tx = Vec::with_capacity(n);
-        let mut reply_rx = Vec::with_capacity(n);
+        let mut w = Workers {
+            cmd_tx: Vec::with_capacity(n),
+            reply_rx: Vec::with_capacity(n),
+            handles: Vec::with_capacity(n),
+        };
         for sim in sims {
             let (ctx, crx) = mpsc::channel::<Cmd<P::Ctl>>();
             let (rtx, rrx) = mpsc::channel::<Reply<P::Ctl>>();
-            cmd_tx.push(ctx);
-            reply_rx.push(rrx);
-            scope.spawn(move || worker(sim, crx, rtx));
+            w.cmd_tx.push(ctx);
+            w.reply_rx.push(rrx);
+            w.handles.push(scope.spawn(move || worker(sim, crx, rtx)));
         }
 
         // Routed-but-undelivered cross-shard envelopes, per target shard.
@@ -415,11 +419,11 @@ where
         let mut limit_hit = false;
 
         // Prime the state table.
-        for tx in cmd_tx.iter().take(n) {
-            tx.send(Cmd::Exchange(Vec::new())).unwrap();
+        for s in 0..n {
+            w.send(s, Cmd::Exchange(Vec::new()));
         }
-        for rx in reply_rx.iter().take(n) {
-            states.push(recv_state(rx, &mut pending, &shard_of_rank));
+        for s in 0..n {
+            states.push(w.recv_state(s, &mut pending, &shard_of_rank));
         }
 
         loop {
@@ -427,10 +431,8 @@ where
             // peeks must include every routed arrival.
             for s in 0..n {
                 if !pending[s].is_empty() {
-                    cmd_tx[s]
-                        .send(Cmd::Exchange(std::mem::take(&mut pending[s])))
-                        .unwrap();
-                    states[s] = recv_state(&reply_rx[s], &mut pending, &shard_of_rank);
+                    w.send(s, Cmd::Exchange(std::mem::take(&mut pending[s])));
+                    states[s] = w.recv_state(s, &mut pending, &shard_of_rank);
                 }
             }
 
@@ -470,8 +472,8 @@ where
                 } else {
                     Cmd::Step
                 };
-                cmd_tx[smin].send(cmd).unwrap();
-                states[smin] = recv_state(&reply_rx[smin], &mut pending, &shard_of_rank);
+                w.send(smin, cmd);
+                states[smin] = w.recv_state(smin, &mut pending, &shard_of_rank);
                 continue;
             }
 
@@ -479,25 +481,25 @@ where
             if horizon <= tmin {
                 // Degenerate zero-lookahead model: fall back to stepping
                 // the globally next event sequentially.
-                cmd_tx[smin].send(Cmd::Step).unwrap();
-                states[smin] = recv_state(&reply_rx[smin], &mut pending, &shard_of_rank);
+                w.send(smin, Cmd::Step);
+                states[smin] = w.recv_state(smin, &mut pending, &shard_of_rank);
                 continue;
             }
 
             // The parallel phase: every shard advances to the horizon.
-            for tx in &cmd_tx {
-                tx.send(Cmd::RunWindow(horizon)).unwrap();
-            }
             for s in 0..n {
-                states[s] = recv_state(&reply_rx[s], &mut pending, &shard_of_rank);
+                w.send(s, Cmd::RunWindow(horizon));
+            }
+            for (s, state) in states.iter_mut().enumerate() {
+                *state = w.recv_state(s, &mut pending, &shard_of_rank);
             }
             barrier_rounds += 1;
         }
 
         let mut outcomes = Vec::with_capacity(n);
         for s in 0..n {
-            cmd_tx[s].send(Cmd::Finish).unwrap();
-            match reply_rx[s].recv().unwrap() {
+            w.send(s, Cmd::Finish);
+            match w.recv(s) {
                 Reply::Outcome(o) => outcomes.push(*o),
                 Reply::State { .. } => unreachable!("Finish replies with Outcome"),
             }
@@ -516,23 +518,55 @@ where
     )
 }
 
-/// Receive one [`Reply::State`], routing its outbox into `pending`.
-fn recv_state<C>(
-    rx: &mpsc::Receiver<Reply<C>>,
-    pending: &mut [Vec<RemoteEnvelope<C>>],
-    shard_of_rank: &[u32],
-) -> ShardState {
-    match rx.recv().unwrap() {
-        Reply::State { outbox, state } => {
-            for env in outbox {
-                let mps_sim::Endpoint::Rank(r) = env.dst() else {
-                    unreachable!("aux endpoints never cross shards");
-                };
-                pending[shard_of_rank[r.idx()] as usize].push(env);
-            }
-            state
+/// The coordinator's end of the worker threads. A worker only drops its
+/// channels by returning, and it returns early only by panicking, so a
+/// channel error joins that worker and re-raises its panic payload: the
+/// caller sees the shard's own message, not a bare `RecvError`.
+struct Workers<'scope, C> {
+    cmd_tx: Vec<mpsc::Sender<Cmd<C>>>,
+    reply_rx: Vec<mpsc::Receiver<Reply<C>>>,
+    handles: Vec<ScopedJoinHandle<'scope, ()>>,
+}
+
+impl<C> Workers<'_, C> {
+    fn send(&mut self, s: usize, cmd: Cmd<C>) {
+        if self.cmd_tx[s].send(cmd).is_err() {
+            self.rethrow(s);
         }
-        Reply::Outcome(_) => unreachable!("Outcome only replies to Finish"),
+    }
+
+    fn recv(&mut self, s: usize) -> Reply<C> {
+        self.reply_rx[s].recv().unwrap_or_else(|_| self.rethrow(s))
+    }
+
+    /// Join the dead worker of shard `s` and resume its panic.
+    fn rethrow(&mut self, s: usize) -> ! {
+        match self.handles.swap_remove(s).join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => panic!("shard {s} worker exited without replying"),
+        }
+    }
+
+    /// Receive one [`Reply::State`] from shard `s`, routing its outbox
+    /// into `pending`.
+    fn recv_state(
+        &mut self,
+        s: usize,
+        pending: &mut [Vec<RemoteEnvelope<C>>],
+        shard_of_rank: &[u32],
+    ) -> ShardState {
+        match self.recv(s) {
+            Reply::State { outbox, state } => {
+                for env in outbox {
+                    let mps_sim::Endpoint::Rank(r) = env.dst() else {
+                        unreachable!("aux endpoints never cross shards");
+                    };
+                    pending[shard_of_rank[r.idx()] as usize].push(env);
+                }
+                state
+            }
+            Reply::Outcome(_) => unreachable!("Outcome only replies to Finish"),
+        }
     }
 }
 
