@@ -54,7 +54,7 @@ use workloads::WorkloadSpec;
 ///
 /// v6: added the parallel-engine columns (`shards`, `barrier_rounds` per
 /// cell — the effective shard count the run executed with and the
-/// time-window barriers the coordinator ran, both 0/1 for serial cells)
+/// time-window barriers the sharded engine ran, both 0/1 for serial cells)
 /// and the `stencil4096_long_par` cell: the long-horizon stencil on the
 /// conservative sharded engine (DESIGN.md §2.8), whose digest must be
 /// bit-for-bit equal to the serial `stencil4096_long` cell
@@ -87,7 +87,7 @@ pub const PAR_SERIAL_CELL: &str = "stencil4096_long";
 pub const PAR_SHARDED_CELL: &str = "stencil4096_long_par";
 /// The sharded cell again under a fat-tree topology (schema v7): tiered
 /// inter-cluster transit raises the per-pair lookahead floor, so the
-/// coordinator must need strictly fewer barrier rounds than the flat
+/// sharded engine must need strictly fewer barrier rounds than the flat
 /// cell's scalar lookahead ([`check_topology_lookahead`]).
 pub const PAR_TOPOLOGY_CELL: &str = "stencil4096_long_par_fattree";
 /// Minimum `events_per_sec` ratio of [`PAR_SHARDED_CELL`] over
@@ -222,7 +222,7 @@ pub struct CellResult {
     /// Scheduler shards the run actually executed with (1 = serial; the
     /// effective count after clamping, DESIGN.md §2.8).
     pub shards: u32,
-    /// Time-window barriers the parallel coordinator ran (0 for serial).
+    /// Time-window barriers the parallel engine ran (0 for serial).
     pub barrier_rounds: u64,
 }
 

@@ -221,7 +221,7 @@ impl<E> Scheduler<E> {
     }
 
     /// `(time, key)` of the next live event, if any — the cross-shard
-    /// comparison key the parallel coordinator uses to locate the globally
+    /// comparison key the sharded engine uses to locate the globally
     /// minimal event without popping it.
     pub fn peek_keyed(&mut self) -> Option<(SimTime, u64)> {
         self.skip_stale();

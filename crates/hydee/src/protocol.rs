@@ -72,7 +72,7 @@ pub struct Hydee {
     /// across shards in a sharded run (DESIGN.md §2.8) — checkpoints on
     /// different shards overlapping in virtual time must contend exactly
     /// as they do serially; mutation order stays deterministic because
-    /// only timers touch the ledger and the parallel coordinator executes
+    /// only timers touch the ledger and the sharded engine executes
     /// timers globally sequenced.
     ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
     /// Clusters this protocol instance schedules checkpoints for — `None`

@@ -60,14 +60,13 @@ pub struct SimConfig {
     /// integers must be invariant across seeds — the fuzzing lever
     /// `tests/perturbation.rs` turns.
     pub perturb_seed: Option<u64>,
-    /// Endpoint-aware pricing (DESIGN.md §2.9). `None` — the default and
-    /// every legacy caller — prices all traffic on `network` alone, as
-    /// the engine always did. When set, messages between ranks are
-    /// priced by `topology.cost(src, dst, bytes)` instead; the topology
-    /// must be built over the same base model as `network` (the
-    /// scenario executor guarantees this), and its `Flat` kind is a
-    /// bit-for-bit oracle of the `None` path. Traffic involving an
-    /// auxiliary endpoint is always priced on the local link class.
+    /// Endpoint-aware pricing (DESIGN.md §2.9). When set, messages
+    /// between ranks are priced by `topology.cost(src, dst, bytes)`; the
+    /// topology must be built over the same base model as `network` (the
+    /// scenario executor guarantees this). `None` — the default — means
+    /// a flat topology over `network`, which prices every message on
+    /// `network` alone. Traffic involving an auxiliary endpoint is
+    /// always priced on the local link class.
     pub topology: Option<Arc<Topology>>,
 }
 
@@ -182,9 +181,9 @@ pub struct RunReport {
     pub makespan: SimTime,
     /// Shards the run executed on (1 for the serial engine).
     pub shards: u32,
-    /// Synchronization windows the parallel coordinator ran (0 serial).
+    /// Synchronization windows the parallel engine ran (0 serial).
     pub barrier_rounds: u64,
-    /// Per-shard-pair conservative lookahead the parallel coordinator
+    /// Per-shard-pair conservative lookahead the parallel engine
     /// derived from the run topology: `(shard_i, shard_j, lookahead)`
     /// for `i < j`, the minimum transit over the link classes actually
     /// crossing that shard boundary (DESIGN.md §2.9). Empty for serial
@@ -196,6 +195,21 @@ impl RunReport {
     pub fn completed(&self) -> bool {
         self.status == RunStatus::Completed
     }
+}
+
+/// What a sharded run reads from one shard before every step of its
+/// lockstep loop (DESIGN.md §2.8): the inputs of `par_sim`'s window
+/// decision. Returned by [`Sim::shard_state`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardState {
+    /// `(time, key)` of the shard's next live event, if any.
+    pub peek: Option<(SimTime, u64)>,
+    /// Live non-timer events in the shard's queue.
+    pub pending_hot: u64,
+    /// Have all ranks the shard owns finished?
+    pub done: bool,
+    /// Events the shard has processed so far.
+    pub events: u64,
 }
 
 /// Everything one shard contributes to a merged [`RunReport`]
@@ -469,7 +483,7 @@ impl RankSet {
 
 /// A message crossing a shard boundary: everything the receiving shard
 /// needs to re-insert the flight into its own scheduler. Opaque outside
-/// the engine — the parallel coordinator only moves envelopes between
+/// the engine — the parallel engine only moves envelopes between
 /// shards at window barriers (DESIGN.md §2.8). The arrival time was
 /// FIFO-adjusted on the *sender* shard (channel FIFO state lives with the
 /// sender), so the receiver schedules it verbatim.
@@ -481,12 +495,7 @@ pub struct RemoteEnvelope<C> {
 }
 
 impl<C> RemoteEnvelope<C> {
-    /// Scheduled arrival time (for coordinator sanity checks).
-    pub fn at(&self) -> SimTime {
-        self.at
-    }
-
-    /// Destination endpoint — what the coordinator routes on. Always a
+    /// Destination endpoint — what the sending shard routes on. Always a
     /// rank: sends to aux endpoints never cross a shard boundary (the
     /// aux process is pinned to the sending shard).
     pub fn dst(&self) -> Endpoint {
@@ -525,6 +534,9 @@ pub struct Core<C> {
     /// what makes checkpoint/rollback seeks replay-exact (DESIGN.md §2.2).
     programs: Vec<Arc<dyn RankProgram>>,
     config: SimConfig,
+    /// `config.topology`, or a flat one over `config.network` when unset:
+    /// every message is priced through this one path.
+    topology: Arc<Topology>,
     fifo_last: FxHashMap<(Endpoint, Endpoint), SimTime>,
     flights: FlightSlab<C>,
     /// Memoized network pricing: each delivery burst is priced once per
@@ -548,7 +560,7 @@ pub struct Core<C> {
     pending_hot: u64,
     /// `Some` when this core is one shard of a sharded run.
     shard: Option<ShardView>,
-    /// Cross-shard sends produced since the coordinator last drained them.
+    /// Cross-shard sends produced since the shard last drained them.
     outbox: Vec<RemoteEnvelope<C>>,
     /// Sender-log mutation journal (shard mode only; see [`LogDelta`]).
     log_timeline: Option<Vec<LogDelta>>,
@@ -573,11 +585,16 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
                 send_seq: PeerMap::new(),
             })
             .collect();
+        let topology = config
+            .topology
+            .clone()
+            .unwrap_or_else(|| Arc::new(Topology::flat(config.network.clone(), vec![0; n])));
         let mut core = Core {
             sched: Scheduler::new(),
             ranks,
             programs: app.into_programs(),
             config,
+            topology,
             fifo_last: FxHashMap::default(),
             flights: FlightSlab::new(n),
             cost_cache: CostCache::new(),
@@ -690,28 +707,22 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
     /// through here; rank-to-rank traffic uses [`Core::priced_between`].
     #[inline]
     fn priced(&mut self, wire_bytes: u64) -> MsgCost {
-        match &self.config.topology {
-            Some(topo) => self
-                .cost_cache
-                .price_class(topo, LinkClass::LOCAL, wire_bytes),
-            None => self.cost_cache.price(&*self.config.network, wire_bytes),
-        }
+        self.cost_cache
+            .price_class(&self.topology, LinkClass::LOCAL, wire_bytes)
     }
 
     /// Price a wire size between two endpoints, memoized per
-    /// `(link_class, size)`. With no topology configured — or whenever
-    /// either endpoint is auxiliary — this is exactly [`Core::priced`];
-    /// under a flat topology the class is always local, so the three
-    /// paths price identically (the oracle guarantee).
+    /// `(link_class, size)`. Whenever either endpoint is auxiliary this
+    /// is exactly [`Core::priced`]; under a flat topology the class is
+    /// always local, so both price on the base model alone.
     #[inline]
     fn priced_between(&mut self, from: Endpoint, to: Endpoint, wire_bytes: u64) -> MsgCost {
-        match (&self.config.topology, from, to) {
-            (Some(topo), Endpoint::Rank(s), Endpoint::Rank(d)) => {
-                let class = topo.link_class(s.0, d.0);
-                self.cost_cache.price_class(topo, class, wire_bytes)
-            }
-            _ => self.priced(wire_bytes),
-        }
+        let class = match (from, to) {
+            (Endpoint::Rank(s), Endpoint::Rank(d)) => self.topology.link_class(s.0, d.0),
+            _ => LinkClass::LOCAL,
+        };
+        self.cost_cache
+            .price_class(&self.topology, class, wire_bytes)
     }
 
     /// Append a sender-log mutation to the shard journal (no-op serially).
@@ -759,7 +770,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
         let at = at.max(self.sched.now());
         if let Some(view) = &self.shard {
             if Self::shard_of_endpoint(view, to) != view.my_shard {
-                // Cross-shard: hand the flight to the coordinator. FIFO
+                // Cross-shard: hand the flight to the owning shard. FIFO
                 // state was already advanced above — the channel's order
                 // is fixed sender-side, the receiver schedules verbatim.
                 self.outbox.push(RemoteEnvelope { at, from, to, kind });
@@ -769,7 +780,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
         self.insert_flight(RemoteEnvelope { at, from, to, kind });
     }
 
-    /// Insert a flight (local, or delivered by the coordinator from a
+    /// Insert a flight (local, or routed here at a barrier from a
     /// remote shard) into this scheduler. No FIFO re-adjustment and no
     /// `max(now)` clamp: both were applied on the sending side, and a
     /// window barrier guarantees `at` has not been passed yet.
@@ -1108,9 +1119,9 @@ impl<P: Protocol> Sim<P> {
     /// Build one shard of a sharded run (DESIGN.md §2.8): this engine
     /// instance holds the full application but only executes the ranks
     /// that `shard_of_rank` maps to `my_shard`; sends to other shards
-    /// land in an outbox the parallel coordinator drains at window
-    /// barriers. Sharded runs must be failure-free — the coordinator
-    /// enforces this before choosing the parallel path.
+    /// land in an outbox the shard hands over at window barriers.
+    /// Sharded runs must be failure-free — the caller enforces this
+    /// before choosing the parallel path.
     pub fn new_sharded(
         app: Application,
         config: SimConfig,
@@ -1393,46 +1404,35 @@ impl<P: Protocol> Sim<P> {
     // ---- shard driving API -------------------------------------------
     //
     // A sharded run (crates/par-sim) holds one `Sim` per shard, built
-    // with [`Sim::new_sharded`], and drives them through these methods:
-    // peek the global minimum across shards, run conservative windows,
-    // sequence timers globally, exchange outboxes at barriers, and merge
-    // the `ShardOutcome`s. The methods deliberately mirror the serial
-    // loop's exact bookkeeping — equivalence is the contract
-    // (DESIGN.md §2.8).
+    // with [`Sim::new_sharded`]. Every shard thread runs the same
+    // lockstep loop: inject the envelopes routed to it, publish its
+    // [`ShardState`], agree with its peers on one decision (a window, a
+    // single step, a timer discard or the end), act on it, and hand its
+    // outbox over. The methods mirror the serial loop's exact
+    // bookkeeping — equivalence is the contract (DESIGN.md §2.8).
 
-    /// Run the protocol's `init` hook. The coordinator calls this once
-    /// per shard in ascending shard order, so shared-state mutations
-    /// during init replay the serial engine's order.
+    /// Run the protocol's `init` hook. `run_sharded` calls this once per
+    /// shard in ascending shard order, so shared-state mutations during
+    /// init replay the serial engine's order.
     pub fn shard_init(&mut self) {
         self.protocol.init(&mut Ctx {
             core: &mut self.core,
         });
     }
 
-    /// `(time, key)` of this shard's next live event, if any.
-    pub fn shard_peek(&mut self) -> Option<(SimTime, u64)> {
-        self.core.sched.peek_keyed()
+    /// The shard's next event, hot backlog, completion and event count.
+    pub fn shard_state(&mut self) -> ShardState {
+        ShardState {
+            peek: self.core.sched.peek_keyed(),
+            pending_hot: self.core.pending_hot,
+            done: self.core.all_done(),
+            events: self.core.metrics.events,
+        }
     }
 
-    /// Live non-timer events in this shard's queue.
-    pub fn shard_pending_hot(&self) -> u64 {
-        self.core.pending_hot
-    }
-
-    /// Have all ranks owned by this shard finished?
-    pub fn shard_done(&self) -> bool {
-        self.core.all_done()
-    }
-
-    /// Events this shard has processed so far (for the coordinator's
-    /// global `max_events` budget).
-    pub fn shard_events(&self) -> u64 {
-        self.core.metrics.events
-    }
-
-    /// Pop and process exactly one event — the coordinator's sequential
-    /// phase, used to keep timers (shared-ledger mutations) in global
-    /// order. Counted exactly like a serial event.
+    /// Pop and process exactly one event — the sequential phase that
+    /// keeps timers (shared-ledger mutations) in global order. Counted
+    /// exactly like a serial event.
     pub fn shard_step(&mut self) {
         if let Some((t, ev)) = self.core.pop_event() {
             self.note_event(t);
@@ -1441,8 +1441,8 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Pop and discard the head event, which must be a timer: the serial
-    /// engine discards timers uncounted once every rank is done, and the
-    /// coordinator mirrors that when *global* completion is reached.
+    /// engine discards timers uncounted once every rank is done, and a
+    /// sharded run mirrors that when *global* completion is reached.
     pub fn shard_discard_timer(&mut self) {
         let popped = self.core.pop_event();
         debug_assert!(
@@ -1452,8 +1452,8 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Process every event strictly before `horizon`, stopping early if
-    /// a timer surfaces at the head (timers are globally sequenced by
-    /// the coordinator, never run inside a window).
+    /// a timer surfaces at the head (timers are globally sequenced one
+    /// step at a time, never run inside a window).
     pub fn shard_run_window(&mut self, horizon: SimTime) {
         while let Some((t, k)) = self.core.sched.peek_keyed() {
             if t >= horizon || key::class(k) == key::CLASS_TIMER {
@@ -1479,9 +1479,9 @@ impl<P: Protocol> Sim<P> {
         }
     }
 
-    /// Tear down this shard and extract everything the coordinator needs
-    /// for the merged [`RunReport`]. Deliberately does *not* fire the
-    /// recorder's `on_run_end` — the coordinator fires it once globally.
+    /// Tear down this shard and extract everything the merge needs for
+    /// the one [`RunReport`]. Deliberately does *not* fire the recorder's
+    /// `on_run_end` — the merge fires it once globally.
     pub fn shard_finish(mut self) -> ShardOutcome {
         let done = self.core.all_done();
         let stuck = if done { Vec::new() } else { self.diagnose() };
@@ -1837,25 +1837,6 @@ mod tests {
         let report = sim.run();
         assert!(matches!(report.status, RunStatus::Deadlock(_)));
         assert_eq!(report.metrics.failures, 1);
-    }
-
-    #[test]
-    fn flat_topology_is_bit_for_bit_the_legacy_path() {
-        // The oracle guarantee at the engine level: attaching a Flat
-        // topology must not move a single picosecond or digest relative
-        // to the legacy size-only path.
-        let base: Arc<dyn NetworkModel> = Arc::new(MxModel::default());
-        let cfg = SimConfig {
-            topology: Some(Arc::new(Topology::flat(base.clone(), vec![0, 1]))),
-            network: base,
-            ..SimConfig::default()
-        };
-        let legacy = Sim::new(ping_pong(25, 4096), SimConfig::default(), NullProtocol).run();
-        let flat = Sim::new(ping_pong(25, 4096), cfg, NullProtocol).run();
-        assert!(legacy.completed() && flat.completed());
-        assert_eq!(legacy.makespan, flat.makespan);
-        assert_eq!(legacy.digests, flat.digests);
-        assert_eq!(legacy.metrics.events, flat.metrics.events);
     }
 
     #[test]

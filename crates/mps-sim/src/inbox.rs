@@ -84,18 +84,6 @@ impl Inbox {
         Some(self.pending.remove(i))
     }
 
-    /// Does a matching message exist for a specific receive?
-    pub fn has_specific(&self, src: Rank, tag: Tag) -> bool {
-        self.pending
-            .iter()
-            .any(|a| a.msg.src == src && a.msg.tag == tag)
-    }
-
-    /// Does a matching message exist for a wildcard receive?
-    pub fn has_any(&self, tag: Tag) -> bool {
-        self.pending.iter().any(|a| a.msg.tag == tag)
-    }
-
     /// Iterate pending messages in push order.
     pub fn iter(&self) -> impl Iterator<Item = &Arrived> {
         self.pending.iter()
@@ -157,7 +145,7 @@ mod tests {
         let mut ib = Inbox::new();
         ib.push2(msg(1, 7, 1), 10);
         assert!(ib.take_specific(Rank(1), Tag(0)).is_none());
-        assert!(ib.has_specific(Rank(1), Tag(7)));
+        assert_eq!(ib.take_specific(Rank(1), Tag(7)).unwrap().msg.tag, Tag(7));
     }
 
     #[test]
@@ -186,8 +174,8 @@ mod tests {
         ib.push2(msg(1, 3, 1), 10);
         ib.push2(msg(1, 4, 1), 20);
         assert_eq!(ib.take_any(Tag(4)).unwrap().msg.tag, Tag(4));
-        assert!(ib.has_any(Tag(3)));
-        assert!(!ib.has_any(Tag(4)));
+        assert!(ib.take_any(Tag(4)).is_none());
+        assert_eq!(ib.take_any(Tag(3)).unwrap().msg.tag, Tag(3));
     }
 
     #[test]

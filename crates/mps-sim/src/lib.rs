@@ -49,7 +49,7 @@ pub use app::{AppState, DetMode};
 pub use cluster::ClusterMap;
 pub use engine::{
     Ctx, InFlightMsg, LogDelta, RankSnapshot, RemoteEnvelope, RunReport, RunStatus, ShardOutcome,
-    Sim, SimConfig,
+    ShardState, Sim, SimConfig,
 };
 pub use failure::{
     Cascade, CorrelatedCluster, FailureEvent, FailureModel, FixedSchedule, PoissonPerRank,

@@ -2,10 +2,10 @@
 //!
 //! `mps_sim::Inbox` keeps pending messages in one push-ordered `Vec`. The
 //! per-`(tag, src)` ring inbox it replaced is kept here as the reference
-//! model, verbatim apart from its serde impls and its name: random
-//! interleavings of push, both receive kinds, both probes, `retain` and
-//! snapshot/restore clones must give identical results and lengths on
-//! both after every step.
+//! model, verbatim apart from its serde impls, its name and the two
+//! probes the engine never called: random interleavings of push, both
+//! receive kinds, `retain` and snapshot/restore clones must give
+//! identical results and lengths on both after every step.
 //!
 //! Arrival stamps repeat, tie and run out of push order across channels,
 //! so the wildcard rule (earliest stamp, then lowest source) is exercised
@@ -155,18 +155,6 @@ impl RefInbox {
         taken
     }
 
-    /// Does a matching message exist for a specific receive?
-    pub fn has_specific(&self, src: Rank, tag: Tag) -> bool {
-        self.by_channel
-            .get(&(tag, src))
-            .is_some_and(|q| q.len() > 0)
-    }
-
-    /// Does a matching message exist for a wildcard receive?
-    pub fn has_any(&self, tag: Tag) -> bool {
-        self.channels_of(tag).any(|(_, q)| q.len() > 0)
-    }
-
     /// The channels of one tag (tag-major key order makes this a range).
     fn channels_of(&self, tag: Tag) -> impl Iterator<Item = (&(Tag, Rank), &Ring)> {
         self.by_channel
@@ -209,13 +197,6 @@ enum Op {
     TakeAny {
         tag: u32,
     },
-    HasSpecific {
-        src: u32,
-        tag: u32,
-    },
-    HasAny {
-        tag: u32,
-    },
     /// Keep messages whose id is not divisible by `modulus`.
     Retain {
         modulus: u64,
@@ -231,7 +212,7 @@ fn decode(raw: &[(u8, u32, u32, u64)], stamps: u64) -> Vec<Op> {
     raw.iter()
         .map(|&(kind, a, b, c)| {
             let (src, tag) = (a % 4, b % 3);
-            match kind % 12 {
+            match kind % 10 {
                 // Pushes outweigh takes, so inboxes hold several messages.
                 0..=3 => Op::Push {
                     src,
@@ -240,9 +221,7 @@ fn decode(raw: &[(u8, u32, u32, u64)], stamps: u64) -> Vec<Op> {
                 },
                 4 | 5 => Op::TakeSpecific { src, tag },
                 6 | 7 => Op::TakeAny { tag },
-                8 => Op::HasSpecific { src, tag },
-                9 => Op::HasAny { tag },
-                10 => match c % 3 {
+                8 => match c % 3 {
                     0 => Op::Retain { modulus: 2 + c % 4 },
                     1 => Op::Snapshot,
                     _ => Op::Restore,
@@ -304,11 +283,6 @@ fn run_equivalence(ops: &[Op]) {
                 old.take_any(Tag(tag)),
                 "take_any diverged"
             ),
-            Op::HasSpecific { src, tag } => prop_assert_eq!(
-                new.has_specific(Rank(src), Tag(tag)),
-                old.has_specific(Rank(src), Tag(tag))
-            ),
-            Op::HasAny { tag } => prop_assert_eq!(new.has_any(Tag(tag)), old.has_any(Tag(tag))),
             Op::Retain { modulus } => {
                 new.retain(|m| m.payload % modulus != 0);
                 old.retain(|m| m.payload % modulus != 0);

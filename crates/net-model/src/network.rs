@@ -181,9 +181,8 @@ impl NetworkModel for MxModel {
 /// on different link classes price the same size differently, and a
 /// size-only key would leak one class's price into the other. Caching
 /// remains sound because both `cost()` and `class_cost()` are pure
-/// functions of that pair. [`CostCache::price`] keys class 0 — the
-/// base-model-verbatim class — so legacy size-only callers see exactly
-/// the pre-topology behaviour.
+/// functions of that pair. Class 0 is the base model verbatim, so a
+/// flat topology prices exactly as the size-only model does.
 ///
 /// [`Topology`]: crate::topology::Topology
 #[derive(Default)]
@@ -196,23 +195,8 @@ impl CostCache {
         CostCache::default()
     }
 
-    /// Price `wire_bytes` on `model`, memoized under link class 0.
-    #[inline]
-    pub fn price(&mut self, model: &dyn NetworkModel, wire_bytes: u64) -> MsgCost {
-        if let Some(&c) = self.map.get(&(0, wire_bytes)) {
-            return c;
-        }
-        let c = model.cost(wire_bytes);
-        self.map.insert((0, wire_bytes), c);
-        c
-    }
-
     /// Price `wire_bytes` on link class `class` of `topo`, memoized.
-    ///
-    /// Class 0 shares its cache line with [`CostCache::price`]: the
-    /// topology's class 0 is its base model verbatim, so the entries
-    /// are interchangeable by construction (callers must not mix two
-    /// different base models through one cache).
+    /// Callers must not price two different topologies through one cache.
     #[inline]
     pub fn price_class(
         &mut self,
@@ -384,10 +368,13 @@ mod tests {
 
     #[test]
     fn cost_cache_is_transparent() {
+        use crate::topology::{LinkClass, Topology};
+        use std::sync::Arc;
         let mx = MxModel::default();
+        let flat = Topology::flat(Arc::new(MxModel::default()), vec![0, 1]);
         let mut cache = CostCache::new();
         for &w in &[1u64, 32, 33, 1024, 1 << 16, 32, 1, 1 << 16] {
-            assert_eq!(cache.price(&mx, w), mx.cost(w));
+            assert_eq!(cache.price_class(&flat, LinkClass::LOCAL, w), mx.cost(w));
         }
         assert_eq!(cache.distinct_sizes(), 5);
     }
@@ -409,8 +396,8 @@ mod tests {
         assert_eq!(local, mx.cost(4096));
         assert!(inter.transit > local.transit);
         assert_eq!(cache.distinct_sizes(), 2);
-        // Class 0 and the size-only front-end share one cache line.
-        assert_eq!(cache.price(&mx, 4096), local);
+        // A repeat hits the cached class-0 entry.
+        assert_eq!(cache.price_class(&topo, LinkClass(0), 4096), local);
         assert_eq!(cache.distinct_sizes(), 2);
     }
 

@@ -1,11 +1,14 @@
 //! The flat-topology oracle (ISSUE 10 satellite): `Flat` must price
 //! every `(src, dst, size)` byte-identically to the legacy size-only
 //! models, and the per-class `min_transit` matrix must generalise the
-//! size-infimum sweep of `network.rs` to endpoint pairs. These two
+//! size-infimum sweep of `network.rs` to endpoint pairs. These
 //! properties are what let the topology refactor pin every pre-v7
-//! BENCH digest: a flat run and a legacy run are the *same* run.
+//! BENCH digest: a flat run and a legacy run are the *same* run. The
+//! engine prices every message through a [`CostCache`] over a topology
+//! (a flat one when none is configured), so the cached path is checked
+//! against the bare model too.
 
-use net_model::{LinkClass, MxModel, NetworkModel, TcpModel, Topology, TopologyKind};
+use net_model::{CostCache, LinkClass, MxModel, NetworkModel, TcpModel, Topology, TopologyKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -50,6 +53,26 @@ proptest! {
                 }
             }
             prop_assert_eq!(topo.n_classes(), 1);
+        }
+    }
+
+    /// The engine's pricing path — a link class looked up per rank pair,
+    /// then a memoized class price — is the bare model on a flat
+    /// topology, on first sight of a size and on every cache hit after.
+    #[test]
+    fn flat_cost_cache_prices_as_the_base_model(
+        assignment in arb_assignment(24, 8),
+        sends in prop::collection::vec((0u32..24, 0u32..24, 0u64..(1 << 22)), 1..32),
+    ) {
+        for base in base_models() {
+            let topo = Topology::flat(base.clone(), assignment.clone());
+            let mut cache = CostCache::new();
+            for _pass in 0..2 {
+                for &(s, d, w) in &sends {
+                    let class = topo.link_class(s, d);
+                    prop_assert_eq!(cache.price_class(&topo, class, w), base.cost(w));
+                }
+            }
         }
     }
 

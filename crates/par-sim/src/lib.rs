@@ -3,32 +3,36 @@
 //! A parallel front-end for the serial `mps-sim` engine (DESIGN.md §2.8):
 //! the rank space is partitioned into **shards of whole clusters**, each
 //! shard runs its own engine instance (event queue + scheduler) on its own
-//! worker thread, and a coordinator advances all shards through
-//! conservative **time windows** derived from the minimum cross-shard
-//! transit (the *lookahead*): `NetworkModel::min_transit` for size-only
-//! pricing, or — with a topology configured — the minimum over the link
-//! classes actually crossing each shard boundary, which is strictly
-//! larger on non-flat machines and buys fewer barrier rounds
-//! (DESIGN.md §2.9; the per-pair values are reported in
-//! `RunReport::pair_lookahead`).
+//! thread, and the shards advance together through conservative **time
+//! windows** derived from the minimum cross-shard transit (the
+//! *lookahead*): `NetworkModel::min_transit` for size-only pricing, or —
+//! with a topology configured — the minimum over the link classes
+//! actually crossing each shard boundary, which is strictly larger on
+//! non-flat machines and buys fewer barrier rounds (DESIGN.md §2.9; the
+//! per-pair values are reported in `RunReport::pair_lookahead`).
 //!
-//! The synchronization scheme is null-message-free:
+//! There is no coordinator thread and there are no null messages. Every
+//! shard runs the same **lockstep loop** on one [`std::sync::Barrier`]:
 //!
-//! 1. find the global minimum `(time, key)` over every shard's next event
-//!    (`gmin`);
-//! 2. let every shard process its events in `[gmin, gmin + lookahead)` in
-//!    parallel — no event in that window can make anything arrive on
+//! 1. inject the envelopes the other shards left in its per-pair slots;
+//! 2. publish its [`ShardState`] (next `(time, key)`, hot backlog,
+//!    completion, event count) and wait at the barrier;
+//! 3. read every shard's state and compute the same decision with the
+//!    pure function `decide`: stop, step one shard's head event, discard
+//!    one shard's head timer, or run a window `[gmin, gmin + lookahead)`
+//!    in parallel — no event in that window can make anything arrive on
 //!    another shard before the horizon, because a message executed at
 //!    `u ≥ gmin` arrives no earlier than `u + lookahead`;
-//! 3. exchange the cross-shard sends produced (their arrival times were
-//!    FIFO-adjusted on the sending shard) and repeat.
+//! 4. act on it (only the named shard acts on a step or a discard), move
+//!    its cross-shard sends into the slots of their target shards (their
+//!    arrival times were FIFO-adjusted on the sending shard), and wait at
+//!    the barrier again.
 //!
 //! **Timers are never run inside a window.** They are the one event class
 //! that touches state shared between shards (the storage-contention
-//! ledger, via checkpoint policies), so the coordinator executes them
-//! one at a time in global `(time, key)` order — exactly the serial
-//! engine's order. Window events commute across shards: they only touch
-//! shard-local state.
+//! ledger, via checkpoint policies), so they execute one at a time in
+//! global `(time, key)` order — exactly the serial engine's order. Window
+//! events commute across shards: they only touch shard-local state.
 //!
 //! The contract is **bit-for-bit equivalence** with the serial engine:
 //! same digests, same metrics, same containment integers (the serial
@@ -42,6 +46,11 @@
 //! *trace files* depends on wall-clock interleaving (recorders observe,
 //! they never influence).
 //!
+//! A shard that panics records the barrier wait it is about to take in a
+//! shared abort slot and takes that one wait, which releases its peers;
+//! they see the slot and return, and `run_sharded` re-raises the
+//! lowest-numbered panicking shard's own payload.
+//!
 //! Sharded runs must be failure-free; the caller (`protocols::factory`)
 //! routes any run whose failure model expects failures to the serial
 //! engine.
@@ -49,12 +58,13 @@
 use det_sim::{SimDuration, SimTime};
 use mps_sim::engine::key;
 use mps_sim::{
-    Application, ClusterMap, Gauges, LogDelta, Metrics, Protocol, Recorder, RecoveryPhase,
-    RemoteEnvelope, RunReport, RunStatus, ShardOutcome, Sim, SimConfig, StorageDir,
+    Application, ClusterMap, Endpoint, Gauges, LogDelta, Metrics, Protocol, Recorder,
+    RecoveryPhase, RemoteEnvelope, RunReport, RunStatus, ShardOutcome, ShardState, Sim, SimConfig,
+    StorageDir,
 };
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::ScopedJoinHandle;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -213,101 +223,172 @@ impl Recorder for SharedRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Worker protocol
+// Lockstep loop
 // ---------------------------------------------------------------------------
 
-enum Cmd<C> {
-    /// Inject routed envelopes (possibly none) and report state.
-    Exchange(Vec<RemoteEnvelope<C>>),
-    /// Process every event strictly before the horizon (stops early at a
-    /// timer head).
-    RunWindow(SimTime),
-    /// Pop and process exactly one event (the coordinator's sequential
-    /// phase: timers, degenerate zero-lookahead).
-    Step,
-    /// Pop and drop the head timer uncounted (global completion reached).
-    DiscardTimer,
-    /// Tear down and return the shard's outcome.
-    Finish,
+/// What every shard does next. All shards compute it from the same state
+/// table, so they agree without a coordinator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    /// End the run; `limit_hit` when the `max_events` budget ran out.
+    Stop { limit_hit: bool },
+    /// `shard` pops and processes its head event alone.
+    Step { shard: usize },
+    /// `shard` drops its head timer uncounted.
+    DiscardTimer { shard: usize },
+    /// Every shard processes its events strictly before the horizon.
+    Window(SimTime),
 }
 
-/// Snapshot of a shard's scheduler piggybacked on every reply.
-#[derive(Clone, Copy)]
-struct ShardState {
-    peek: Option<(SimTime, u64)>,
-    pending_hot: u64,
-    done: bool,
-    events: u64,
-}
-
-enum Reply<C> {
-    State {
-        outbox: Vec<RemoteEnvelope<C>>,
-        state: ShardState,
-    },
-    Outcome(Box<ShardOutcome>),
-}
-
-fn state_of<P: Protocol>(sim: &mut Sim<P>) -> ShardState {
-    ShardState {
-        peek: sim.shard_peek(),
-        pending_hot: sim.shard_pending_hot(),
-        done: sim.shard_done(),
-        events: sim.shard_events(),
+/// The one window decision of a sharded run, from every shard's state.
+fn decide(states: &[ShardState], lookahead: SimDuration, max_events: u64) -> Decision {
+    // Global `max_events` budget, enforced per round (DESIGN.md §2.8:
+    // approximate — a window may overshoot the serial cut-off first).
+    if states.iter().map(|st| st.events).sum::<u64>() > max_events {
+        return Decision::Stop { limit_hit: true };
     }
+    let all_done = states.iter().all(|st| st.done);
+    if all_done && states.iter().all(|st| st.pending_hot == 0) {
+        return Decision::Stop { limit_hit: false }; // leftover timers are moot
+    }
+    // Global minimum (time, key). Cross-shard (time, key) pairs are
+    // distinct by construction (content-derived keys); ties would go to
+    // the lower shard.
+    let Some(((tmin, kmin), shard)) = states
+        .iter()
+        .enumerate()
+        .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
+        .min()
+    else {
+        return Decision::Stop { limit_hit: false }; // deadlock
+    };
+    if key::class(kmin) == key::CLASS_TIMER {
+        // Timers mutate shared state: one at a time in global (time, key)
+        // order — the serial order. After global completion they are
+        // discarded uncounted, like the serial drain loop does.
+        return if all_done {
+            Decision::DiscardTimer { shard }
+        } else {
+            Decision::Step { shard }
+        };
+    }
+    let horizon = tmin + lookahead;
+    if horizon <= tmin {
+        // Degenerate zero-lookahead model: step the globally next event.
+        return Decision::Step { shard };
+    }
+    Decision::Window(horizon)
 }
 
-fn worker<P: Protocol>(
-    mut sim: Sim<P>,
-    rx: mpsc::Receiver<Cmd<P::Ctl>>,
-    tx: mpsc::Sender<Reply<P::Ctl>>,
-) {
-    while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
-            Cmd::Exchange(envs) => {
+/// What the shard threads of one run share: the barrier they step on,
+/// the published state table and the per-pair envelope slots.
+struct Lockstep<C> {
+    barrier: Barrier,
+    /// `states[s]`: shard `s`'s state, published before each decision.
+    states: Vec<Mutex<ShardState>>,
+    /// `out[from * n + to]`: envelopes `from` sent to `to` in the last
+    /// phase, injected by `to` at the top of the next turn.
+    out: Vec<Mutex<Vec<RemoteEnvelope<C>>>>,
+    /// The barrier wait after which every shard returns, counted from 1
+    /// (`usize::MAX` while no shard has panicked). A panicking shard sets
+    /// it to the wait it is about to take.
+    abort_at: AtomicUsize,
+    shard_of_rank: Arc<Vec<u32>>,
+    lookahead: SimDuration,
+    max_events: u64,
+}
+
+impl<C> Lockstep<C> {
+    fn slot(&self, from: usize, to: usize) -> &Mutex<Vec<RemoteEnvelope<C>>> {
+        &self.out[from * self.states.len() + to]
+    }
+
+    /// Take barrier wait number `*waits + 1`; false when a shard
+    /// panicked before it. Every shard is between the same two waits, so
+    /// the one a panicking shard takes releases all its peers onto this
+    /// check; a panic during the phase a peer is just leaving sets a
+    /// later wait and does not stop it early.
+    fn wait(&self, waits: &mut usize) -> bool {
+        self.barrier.wait();
+        *waits += 1;
+        self.abort_at.load(Ordering::Relaxed) > *waits
+    }
+
+    /// Shard `me`'s whole run: its outcome, the windows run and whether
+    /// the event budget ran out, or `None` when a peer panicked.
+    /// Re-raises this shard's own panic after releasing its peers.
+    fn run<P: Protocol<Ctl = C>>(
+        &self,
+        mut sim: Sim<P>,
+        me: usize,
+    ) -> Option<(ShardOutcome, u64, bool)> {
+        let mut waits = 0;
+        match catch_unwind(AssertUnwindSafe(|| self.turns(&mut sim, me, &mut waits))) {
+            Ok(Some((rounds, limit_hit))) => Some((sim.shard_finish(), rounds, limit_hit)),
+            Ok(None) => None,
+            Err(payload) => {
+                self.abort_at.fetch_min(waits + 1, Ordering::Relaxed);
+                self.barrier.wait();
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    /// The lockstep loop (DESIGN.md §2.8). Slot locks are only held to
+    /// move vectors, never across protocol code.
+    fn turns<P: Protocol<Ctl = C>>(
+        &self,
+        sim: &mut Sim<P>,
+        me: usize,
+        waits: &mut usize,
+    ) -> Option<(u64, bool)> {
+        let n = self.states.len();
+        let mut routed: Vec<Vec<RemoteEnvelope<C>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut rounds = 0u64;
+        loop {
+            // Peeks must include every routed arrival, so inject first.
+            for from in 0..n {
+                let envs = std::mem::take(&mut *self.slot(from, me).lock().unwrap());
                 sim.shard_inject(envs);
-                Reply::State {
-                    outbox: Vec::new(),
-                    state: state_of(&mut sim),
+            }
+            *self.states[me].lock().unwrap() = sim.shard_state();
+            if !self.wait(waits) {
+                return None;
+            }
+            let states: Vec<ShardState> = self.states.iter().map(|s| *s.lock().unwrap()).collect();
+            match decide(&states, self.lookahead, self.max_events) {
+                Decision::Stop { limit_hit } => return Some((rounds, limit_hit)),
+                Decision::Step { shard } if shard == me => sim.shard_step(),
+                Decision::DiscardTimer { shard } if shard == me => sim.shard_discard_timer(),
+                Decision::Step { .. } | Decision::DiscardTimer { .. } => {}
+                Decision::Window(horizon) => {
+                    sim.shard_run_window(horizon);
+                    rounds += 1;
                 }
             }
-            Cmd::RunWindow(horizon) => {
-                sim.shard_run_window(horizon);
-                Reply::State {
-                    outbox: sim.shard_take_outbox(),
-                    state: state_of(&mut sim),
+            for env in sim.shard_take_outbox() {
+                let Endpoint::Rank(r) = env.dst() else {
+                    unreachable!("aux endpoints never cross shards");
+                };
+                routed[self.shard_of_rank[r.idx()] as usize].push(env);
+            }
+            for (to, envs) in routed.iter_mut().enumerate() {
+                if !envs.is_empty() {
+                    self.slot(me, to).lock().unwrap().append(envs);
                 }
             }
-            Cmd::Step => {
-                sim.shard_step();
-                Reply::State {
-                    outbox: sim.shard_take_outbox(),
-                    state: state_of(&mut sim),
-                }
+            if !self.wait(waits) {
+                return None;
             }
-            Cmd::DiscardTimer => {
-                sim.shard_discard_timer();
-                Reply::State {
-                    outbox: Vec::new(),
-                    state: state_of(&mut sim),
-                }
-            }
-            Cmd::Finish => {
-                let _ = tx.send(Reply::Outcome(Box::new(sim.shard_finish())));
-                return;
-            }
-        };
-        if tx.send(reply).is_err() {
-            return;
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator
+// Sharded run
 // ---------------------------------------------------------------------------
 
-/// Run `app` under `protocol` instances sharded over `n_shards` worker
+/// Run `app` under `protocol` instances sharded over `n_shards` shard
 /// threads, merging into one [`RunReport`] bit-for-bit equal (digests,
 /// metrics, containment integers) to the serial engine's.
 ///
@@ -395,117 +476,42 @@ where
         }
         _ => (config.network.min_transit(), Vec::new()),
     };
-    let max_events = config.max_events;
     let n = sims.len();
+    let lockstep = Lockstep {
+        barrier: Barrier::new(n),
+        states: (0..n).map(|_| Mutex::default()).collect(),
+        out: (0..n * n).map(|_| Mutex::default()).collect(),
+        abort_at: AtomicUsize::new(usize::MAX),
+        shard_of_rank: shard_of_rank.clone(),
+        lookahead,
+        max_events: config.max_events,
+    };
 
-    let (outcomes, barrier_rounds, limit_hit) = std::thread::scope(|scope| {
-        let mut w = Workers {
-            cmd_tx: Vec::with_capacity(n),
-            reply_rx: Vec::with_capacity(n),
-            handles: Vec::with_capacity(n),
-        };
-        for sim in sims {
-            let (ctx, crx) = mpsc::channel::<Cmd<P::Ctl>>();
-            let (rtx, rrx) = mpsc::channel::<Reply<P::Ctl>>();
-            w.cmd_tx.push(ctx);
-            w.reply_rx.push(rrx);
-            w.handles.push(scope.spawn(move || worker(sim, crx, rtx)));
-        }
-
-        // Routed-but-undelivered cross-shard envelopes, per target shard.
-        let mut pending: Vec<Vec<RemoteEnvelope<P::Ctl>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut states: Vec<ShardState> = Vec::with_capacity(n);
-        let mut barrier_rounds = 0u64;
-        let mut limit_hit = false;
-
-        // Prime the state table.
-        for s in 0..n {
-            w.send(s, Cmd::Exchange(Vec::new()));
-        }
-        for s in 0..n {
-            states.push(w.recv_state(s, &mut pending, &shard_of_rank));
-        }
-
-        loop {
-            // Deliver what the last phase produced before reading gmin:
-            // peeks must include every routed arrival.
-            for s in 0..n {
-                if !pending[s].is_empty() {
-                    w.send(s, Cmd::Exchange(std::mem::take(&mut pending[s])));
-                    states[s] = w.recv_state(s, &mut pending, &shard_of_rank);
-                }
-            }
-
-            // Global `max_events` budget, enforced per round (DESIGN.md
-            // §2.8: approximate — a window may overshoot the serial
-            // cut-off before the coordinator notices).
-            if states.iter().map(|st| st.events).sum::<u64>() > max_events {
-                limit_hit = true;
-                break;
-            }
-
-            let all_done = states.iter().all(|st| st.done);
-            let hot: u64 = states.iter().map(|st| st.pending_hot).sum();
-            if hot == 0 && all_done {
-                break; // drain-complete (leftover timers are moot)
-            }
-
-            // Global minimum (time, key). Cross-shard (time, key) pairs
-            // are distinct by construction (content-derived keys), but a
-            // strict `<` keeps the choice deterministic regardless.
-            let gmin = states
-                .iter()
-                .enumerate()
-                .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
-                .min();
-            let Some(((tmin, kmin), smin)) = gmin else {
-                break; // every queue empty with unfinished ranks: deadlock
-            };
-
-            if key::class(kmin) == key::CLASS_TIMER {
-                // Timers mutate shared state: execute them one at a time
-                // in global (time, key) order — the serial order. After
-                // global completion they are discarded uncounted, exactly
-                // like the serial drain loop.
-                let cmd = if all_done {
-                    Cmd::DiscardTimer
-                } else {
-                    Cmd::Step
-                };
-                w.send(smin, cmd);
-                states[smin] = w.recv_state(smin, &mut pending, &shard_of_rank);
-                continue;
-            }
-
-            let horizon = tmin + lookahead;
-            if horizon <= tmin {
-                // Degenerate zero-lookahead model: fall back to stepping
-                // the globally next event sequentially.
-                w.send(smin, Cmd::Step);
-                states[smin] = w.recv_state(smin, &mut pending, &shard_of_rank);
-                continue;
-            }
-
-            // The parallel phase: every shard advances to the horizon.
-            for s in 0..n {
-                w.send(s, Cmd::RunWindow(horizon));
-            }
-            for (s, state) in states.iter_mut().enumerate() {
-                *state = w.recv_state(s, &mut pending, &shard_of_rank);
-            }
-            barrier_rounds += 1;
-        }
-
-        let mut outcomes = Vec::with_capacity(n);
-        for s in 0..n {
-            w.send(s, Cmd::Finish);
-            match w.recv(s) {
-                Reply::Outcome(o) => outcomes.push(*o),
-                Reply::State { .. } => unreachable!("Finish replies with Outcome"),
-            }
-        }
-        (outcomes, barrier_rounds, limit_hit)
+    // One thread per shard; this thread only joins them, in shard order,
+    // so the first panic met is the lowest-numbered shard's.
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = sims
+            .into_iter()
+            .enumerate()
+            .map(|(me, sim)| {
+                let lockstep = &lockstep;
+                scope.spawn(move || lockstep.run(sim, me))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let mut outcomes = Vec::with_capacity(n);
+    let (mut barrier_rounds, mut limit_hit) = (0, false);
+    for result in joined {
+        match result {
+            Ok(Some((outcome, rounds, limit))) => {
+                outcomes.push(outcome);
+                (barrier_rounds, limit_hit) = (rounds, limit);
+            }
+            Ok(None) => {}
+            Err(payload) => resume_unwind(payload),
+        }
+    }
 
     merge(
         outcomes,
@@ -516,58 +522,6 @@ where
         limit_hit,
         shared_rec,
     )
-}
-
-/// The coordinator's end of the worker threads. A worker only drops its
-/// channels by returning, and it returns early only by panicking, so a
-/// channel error joins that worker and re-raises its panic payload: the
-/// caller sees the shard's own message, not a bare `RecvError`.
-struct Workers<'scope, C> {
-    cmd_tx: Vec<mpsc::Sender<Cmd<C>>>,
-    reply_rx: Vec<mpsc::Receiver<Reply<C>>>,
-    handles: Vec<ScopedJoinHandle<'scope, ()>>,
-}
-
-impl<C> Workers<'_, C> {
-    fn send(&mut self, s: usize, cmd: Cmd<C>) {
-        if self.cmd_tx[s].send(cmd).is_err() {
-            self.rethrow(s);
-        }
-    }
-
-    fn recv(&mut self, s: usize) -> Reply<C> {
-        self.reply_rx[s].recv().unwrap_or_else(|_| self.rethrow(s))
-    }
-
-    /// Join the dead worker of shard `s` and resume its panic.
-    fn rethrow(&mut self, s: usize) -> ! {
-        match self.handles.swap_remove(s).join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => panic!("shard {s} worker exited without replying"),
-        }
-    }
-
-    /// Receive one [`Reply::State`] from shard `s`, routing its outbox
-    /// into `pending`.
-    fn recv_state(
-        &mut self,
-        s: usize,
-        pending: &mut [Vec<RemoteEnvelope<C>>],
-        shard_of_rank: &[u32],
-    ) -> ShardState {
-        match self.recv(s) {
-            Reply::State { outbox, state } => {
-                for env in outbox {
-                    let mps_sim::Endpoint::Rank(r) = env.dst() else {
-                        unreachable!("aux endpoints never cross shards");
-                    };
-                    pending[shard_of_rank[r.idx()] as usize].push(env);
-                }
-                state
-            }
-            Reply::Outcome(_) => unreachable!("Outcome only replies to Finish"),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -708,6 +662,125 @@ fn replay_log_peak(outcomes: &[ShardOutcome]) -> u64 {
 mod tests {
     use super::*;
     use mps_sim::ClusterMap;
+
+    fn lookahead() -> SimDuration {
+        SimDuration::from_ps(1_000)
+    }
+
+    /// A shard whose next event is `peek`, with `hot` non-timer events
+    /// queued.
+    fn state(peek: Option<(u64, u64)>, hot: u64, done: bool, events: u64) -> ShardState {
+        ShardState {
+            peek: peek.map(|(t, k)| (SimTime::from_ps(t), k)),
+            pending_hot: hot,
+            done,
+            events,
+        }
+    }
+
+    fn exec() -> u64 {
+        key::exec(mps_sim::Rank(0), 0)
+    }
+
+    #[test]
+    fn decide_stops_when_the_event_budget_is_spent() {
+        let states = [
+            state(Some((5, exec())), 1, false, 6),
+            state(Some((3, exec())), 1, false, 5),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 10),
+            Decision::Stop { limit_hit: true }
+        );
+        assert_eq!(
+            decide(&states, lookahead(), 11),
+            Decision::Window(SimTime::from_ps(1_003))
+        );
+    }
+
+    #[test]
+    fn decide_stops_when_drained() {
+        // Done everywhere, nothing hot left: a pending timer is moot.
+        let states = [
+            state(Some((9, key::timer(1))), 0, true, 4),
+            state(None, 0, true, 4),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Stop { limit_hit: false }
+        );
+    }
+
+    #[test]
+    fn decide_stops_on_deadlock() {
+        let states = [state(None, 0, false, 4), state(None, 0, true, 4)];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Stop { limit_hit: false }
+        );
+    }
+
+    #[test]
+    fn decide_steps_the_global_minimum_timer_on_its_shard() {
+        let states = [
+            state(Some((7, exec())), 1, false, 0),
+            state(Some((7, key::timer(3))), 0, false, 0),
+            state(Some((8, key::timer(2))), 0, true, 0),
+        ];
+        // Exec outranks a timer at the same instant.
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Window(SimTime::from_ps(1_007))
+        );
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(Some((7, key::timer(3))), 0, false, 0),
+            state(Some((8, key::timer(2))), 0, true, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Step { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_discards_timers_after_global_completion() {
+        // Every rank is done but an arrival is still in flight: the
+        // earlier timer goes uncounted.
+        let states = [
+            state(Some((9, exec())), 1, true, 0),
+            state(Some((7, key::timer(3))), 0, true, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::DiscardTimer { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_steps_sequentially_without_lookahead() {
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(Some((4, exec())), 1, false, 0),
+        ];
+        assert_eq!(
+            decide(&states, SimDuration::ZERO, 100),
+            Decision::Step { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_opens_a_window_at_the_global_minimum() {
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(None, 0, true, 0),
+            state(Some((4, exec())), 1, false, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Window(SimTime::from_ps(1_004))
+        );
+    }
 
     #[test]
     fn effective_shards_clamps_with_warning() {

@@ -58,7 +58,9 @@ fn null_protocol_stencil_matches_serial_at_every_shard_count() {
         assert_eq!(par.shards, shards as u32);
         assert_equivalent(&serial, &par);
         if shards > 1 {
-            assert!(par.barrier_rounds > 0, "windows must actually run");
+            // Every shard count runs the same windows: the decisions
+            // depend on the global state only.
+            assert_eq!(par.barrier_rounds, 45, "{shards} shards");
         }
     }
 }
@@ -90,6 +92,7 @@ fn hydee_with_periodic_checkpoints_matches_serial() {
             None,
         );
         assert_equivalent(&serial, &par);
+        assert_eq!(par.barrier_rounds, 159, "{shards} shards");
     }
 }
 

@@ -272,7 +272,7 @@ impl ProtocolFactory for HydeeFactory {
             } = req;
             // One ledger shared by all shard-local protocol copies:
             // stable storage is the only machine-global resource, and
-            // the coordinator sequences every timer (= every policy
+            // the sharded engine sequences every timer (= every policy
             // consultation) in global order, so sharing it is safe.
             let ledger = Arc::new(Mutex::new(
                 StorageLedger::new(self.params.config_for(clusters.clone()).storage)
