@@ -197,9 +197,9 @@ impl RunReport {
     }
 }
 
-/// What a sharded run reads from one shard before every step of its
-/// lockstep loop (DESIGN.md §2.8): the inputs of `par_sim`'s window
-/// decision. Returned by [`Sim::shard_state`].
+/// What the lockstep loop reads from one shard before every decision
+/// (DESIGN.md §2.8): the inputs of [`decide`]. Returned by
+/// [`Sim::shard_state`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardState {
     /// `(time, key)` of the shard's next live event, if any.
@@ -210,6 +210,63 @@ pub struct ShardState {
     pub done: bool,
     /// Events the shard has processed so far.
     pub events: u64,
+}
+
+/// What every shard does next. All shards compute it from the same state
+/// table, so they agree without a coordinator; [`Sim::act`] carries it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// End the run; `limit_hit` when the `max_events` budget ran out.
+    Stop { limit_hit: bool },
+    /// `shard` pops and processes its head event alone.
+    Step { shard: usize },
+    /// `shard` drops its head timer uncounted.
+    DiscardTimer { shard: usize },
+    /// Every shard processes its events strictly before the horizon.
+    Window(SimTime),
+}
+
+/// The one drain decision of a run, from every shard's state. A serial
+/// run is the one-shard case with an unbounded `lookahead`: its windows
+/// end only at timers.
+pub fn decide(states: &[ShardState], lookahead: SimDuration, max_events: u64) -> Decision {
+    // Global `max_events` budget. Every shard also stops its window once
+    // its own count passes the budget, so one shard stops exactly.
+    if states.iter().map(|st| st.events).sum::<u64>() > max_events {
+        return Decision::Stop { limit_hit: true };
+    }
+    let all_done = states.iter().all(|st| st.done);
+    if all_done && states.iter().all(|st| st.pending_hot == 0) {
+        return Decision::Stop { limit_hit: false }; // leftover timers are moot
+    }
+    // Global minimum (time, key). Cross-shard (time, key) pairs are
+    // distinct by construction (content-derived keys); ties would go to
+    // the lower shard.
+    let Some(((tmin, kmin), shard)) = states
+        .iter()
+        .enumerate()
+        .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
+        .min()
+    else {
+        return Decision::Stop { limit_hit: false }; // deadlock
+    };
+    if key::class(kmin) == key::CLASS_TIMER {
+        // Timers mutate shared state: one at a time in global (time, key)
+        // order. Once every rank is done they are discarded uncounted.
+        return if all_done {
+            Decision::DiscardTimer { shard }
+        } else {
+            Decision::Step { shard }
+        };
+    }
+    // Saturating: an unbounded lookahead must not wrap past `tmin`.
+    let horizon = SimTime::from_ps(tmin.as_ps().saturating_add(lookahead.as_ps()));
+    if horizon <= tmin {
+        // Zero lookahead (or an event at the end of time): step the
+        // globally next event.
+        return Decision::Step { shard };
+    }
+    Decision::Window(horizon)
 }
 
 /// Everything one shard contributes to a merged [`RunReport`]
@@ -225,7 +282,8 @@ pub struct ShardOutcome {
     /// `(rank, diagnostic)` for owned unfinished ranks.
     pub stuck: Vec<(u32, String)>,
     /// Sender-log mutation journal in shard-local order (already sorted
-    /// by global stamp, since a shard processes events in stamp order).
+    /// by global stamp, since a shard processes events in stamp order);
+    /// empty for a shard owning every rank.
     pub log_timeline: Vec<LogDelta>,
     pub metrics: Metrics,
     pub trace: Trace,
@@ -503,7 +561,8 @@ impl<C> RemoteEnvelope<C> {
     }
 }
 
-/// Shard identity of one engine instance inside a sharded run.
+/// Shard identity of one engine instance. A serial run is one shard
+/// owning every rank.
 struct ShardView {
     my_shard: u32,
     /// rank index → owning shard.
@@ -558,11 +617,13 @@ pub struct Core<C> {
     /// make application progress on their own (they can only *schedule*
     /// hot events, which would raise the count before the next check).
     pending_hot: u64,
-    /// `Some` when this core is one shard of a sharded run.
-    shard: Option<ShardView>,
+    /// Which ranks this engine instance executes.
+    shard: ShardView,
     /// Cross-shard sends produced since the shard last drained them.
     outbox: Vec<RemoteEnvelope<C>>,
-    /// Sender-log mutation journal (shard mode only; see [`LogDelta`]).
+    /// Sender-log mutation journal, kept only by a shard that does not
+    /// own every rank (see [`LogDelta`]): a lone shard applies every
+    /// mutation in global order itself.
     log_timeline: Option<Vec<LogDelta>>,
     /// Stamp of the event currently dispatching, for [`LogDelta`]s.
     cursor: (SimTime, u64, u32),
@@ -571,7 +632,7 @@ pub struct Core<C> {
 }
 
 impl<C: Clone + std::fmt::Debug> Core<C> {
-    fn new(app: Application, config: SimConfig, shard: Option<ShardView>) -> Self {
+    fn new(app: Application, config: SimConfig, shard: ShardView) -> Self {
         let n = app.n_ranks();
         let ranks: Vec<RankState> = (0..n)
             .map(|i| RankState {
@@ -603,7 +664,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
             failure_mtbf: None,
             recorder: None,
             pending_hot: 0,
-            log_timeline: shard.as_ref().map(|_| Vec::new()),
+            log_timeline: (shard.owned < n).then(Vec::new),
             shard,
             outbox: Vec::new(),
             cursor: (SimTime::ZERO, 0, 0),
@@ -627,23 +688,11 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
         self.ranks.len()
     }
 
-    /// Does this engine instance execute `rank`? Always true serially; in
-    /// a sharded run only the owning shard schedules the rank's events.
+    /// Does this engine instance execute `rank`? Only the owning shard
+    /// schedules the rank's events.
     #[inline]
     fn owns(&self, rank: Rank) -> bool {
-        match &self.shard {
-            None => true,
-            Some(v) => v.shard_of_rank[rank.idx()] == v.my_shard,
-        }
-    }
-
-    /// Ranks this engine must finish for its part of the run to complete.
-    #[inline]
-    fn done_target(&self) -> usize {
-        match &self.shard {
-            None => self.ranks.len(),
-            Some(v) => v.owned,
-        }
+        self.shard.shard_of_rank[rank.idx()] == self.shard.my_shard
     }
 
     /// Schedule `ev` under tie-break `key`, maintaining the hot count.
@@ -685,7 +734,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
     /// Have all ranks this engine is responsible for finished?
     #[inline]
     fn all_done(&self) -> bool {
-        self.done_count == self.done_target()
+        self.done_count == self.shard.owned
     }
 
     /// Snapshot the counters a time-series recorder samples. Only built
@@ -725,7 +774,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
             .price_class(&self.topology, class, wire_bytes)
     }
 
-    /// Append a sender-log mutation to the shard journal (no-op serially).
+    /// Append a sender-log mutation to the shard journal, if one is kept.
     #[inline]
     fn journal_log_delta(&mut self, delta: i64) {
         if let Some(timeline) = self.log_timeline.as_mut() {
@@ -748,17 +797,6 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
         at
     }
 
-    /// Shard owning endpoint `e`. Aux endpoints are engine-local: they
-    /// only participate in recovery, and failure-bearing runs never shard
-    /// (DESIGN.md §2.8).
-    #[inline]
-    fn shard_of_endpoint(view: &ShardView, e: Endpoint) -> u32 {
-        match e {
-            Endpoint::Rank(r) => view.shard_of_rank[r.idx()],
-            Endpoint::Aux(_) => view.my_shard,
-        }
-    }
-
     fn schedule_flight(
         &mut self,
         from: Endpoint,
@@ -768,14 +806,14 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
     ) {
         let at = self.fifo_adjust(from, to, computed);
         let at = at.max(self.sched.now());
-        if let Some(view) = &self.shard {
-            if Self::shard_of_endpoint(view, to) != view.my_shard {
-                // Cross-shard: hand the flight to the owning shard. FIFO
-                // state was already advanced above — the channel's order
-                // is fixed sender-side, the receiver schedules verbatim.
-                self.outbox.push(RemoteEnvelope { at, from, to, kind });
-                return;
-            }
+        // Aux endpoints are engine-local: they only take part in
+        // recovery, and failure-bearing runs never shard (DESIGN.md §2.8).
+        if matches!(to, Endpoint::Rank(r) if !self.owns(r)) {
+            // Cross-shard: hand the flight to the owning shard. FIFO
+            // state was already advanced above — the channel's order is
+            // fixed sender-side, the receiver schedules verbatim.
+            self.outbox.push(RemoteEnvelope { at, from, to, kind });
+            return;
         }
         self.insert_flight(RemoteEnvelope { at, from, to, kind });
     }
@@ -1107,20 +1145,17 @@ pub struct Sim<P: Protocol> {
 }
 
 impl<P: Protocol> Sim<P> {
+    /// A serial run: the one shard, owning every rank.
     pub fn new(app: Application, config: SimConfig, protocol: P) -> Self {
-        Sim {
-            core: Core::new(app, config, None),
-            protocol,
-            failure_model: None,
-            model_event: None,
-        }
+        let n = app.n_ranks();
+        Self::new_sharded(app, config, protocol, Arc::new(vec![0; n]), 0)
     }
 
-    /// Build one shard of a sharded run (DESIGN.md §2.8): this engine
-    /// instance holds the full application but only executes the ranks
-    /// that `shard_of_rank` maps to `my_shard`; sends to other shards
-    /// land in an outbox the shard hands over at window barriers.
-    /// Sharded runs must be failure-free — the caller enforces this
+    /// Build one shard of a run (DESIGN.md §2.8): this engine instance
+    /// holds the full application but only executes the ranks that
+    /// `shard_of_rank` maps to `my_shard`; sends to other shards land in
+    /// an outbox the shard hands over at window barriers. Runs of more
+    /// than one shard must be failure-free — the caller enforces this
     /// before choosing the parallel path.
     pub fn new_sharded(
         app: Application,
@@ -1135,11 +1170,11 @@ impl<P: Protocol> Sim<P> {
             core: Core::new(
                 app,
                 config,
-                Some(ShardView {
+                ShardView {
                     my_shard,
                     shard_of_rank,
                     owned,
-                }),
+                },
             ),
             protocol,
             failure_model: None,
@@ -1225,42 +1260,27 @@ impl<P: Protocol> Sim<P> {
     /// every counter. Timers popped after completion are discarded
     /// uncounted; timers remain live before completion (a timer can
     /// reopen a gate).
+    ///
+    /// The run is the one-shard case of the lockstep loop: [`decide`]
+    /// over this shard's state with an unbounded lookahead, acted on by
+    /// [`Sim::act`] on this thread — no barrier, no window count.
     pub fn run_with_protocol(mut self) -> (RunReport, P) {
-        self.protocol.init(&mut Ctx {
-            core: &mut self.core,
-        });
-        let mut status = None;
-        loop {
-            let done = self.core.all_done();
-            if self.core.pending_hot == 0 && done {
-                break;
+        self.shard_init();
+        let unbounded = SimDuration::from_ps(u64::MAX);
+        let limit_hit = loop {
+            let state = self.shard_state();
+            match decide(&[state], unbounded, self.core.config.max_events) {
+                Decision::Stop { limit_hit } => break limit_hit,
+                decision => self.act(decision, 0),
             }
-            let Some((t, ev)) = self.core.pop_event() else {
-                break;
-            };
-            if matches!(ev, Event::Timer { .. }) && done {
-                continue; // moot: the run is over, discard uncounted
-            }
-            self.core.metrics.events += 1;
-            if self.core.metrics.events > self.core.config.max_events {
-                status = Some(RunStatus::EventLimit);
-                break;
-            }
-            if self.core.recorder.is_some() {
-                let g = self.core.gauges();
-                if let Some(rec) = self.core.recorder.as_deref_mut() {
-                    rec.on_tick(t, &g);
-                }
-            }
-            self.dispatch(t, ev);
-        }
-        let status = status.unwrap_or_else(|| {
-            if self.core.all_done() {
-                RunStatus::Completed
-            } else {
-                RunStatus::Deadlock(self.diagnose().into_iter().map(|(_, d)| d).collect())
-            }
-        });
+        };
+        let status = if limit_hit {
+            RunStatus::EventLimit
+        } else if self.core.all_done() {
+            RunStatus::Completed
+        } else {
+            RunStatus::Deadlock(self.diagnose().into_iter().map(|(_, d)| d).collect())
+        };
         let makespan = self
             .core
             .ranks
@@ -1291,8 +1311,8 @@ impl<P: Protocol> Sim<P> {
         )
     }
 
-    /// Process one popped event. Shared verbatim by the serial loop and
-    /// the shard window/step paths — the dispatch semantics ARE the
+    /// Process one popped event. Every event of every run goes through
+    /// here from [`Sim::process_next`] — the dispatch semantics ARE the
     /// engine's observable behaviour, so there is exactly one copy.
     fn dispatch(&mut self, t: SimTime, ev: Event) {
         match ev {
@@ -1403,17 +1423,16 @@ impl<P: Protocol> Sim<P> {
 
     // ---- shard driving API -------------------------------------------
     //
-    // A sharded run (crates/par-sim) holds one `Sim` per shard, built
-    // with [`Sim::new_sharded`]. Every shard thread runs the same
+    // A run of n shards (crates/par-sim) holds one `Sim` per shard,
+    // built with [`Sim::new_sharded`]. Every shard thread runs the same
     // lockstep loop: inject the envelopes routed to it, publish its
-    // [`ShardState`], agree with its peers on one decision (a window, a
-    // single step, a timer discard or the end), act on it, and hand its
-    // outbox over. The methods mirror the serial loop's exact
-    // bookkeeping — equivalence is the contract (DESIGN.md §2.8).
+    // [`ShardState`], agree with its peers on one [`decide`] decision,
+    // [`Sim::act`] on it, and hand its outbox over. A serial run is the
+    // same loop with one shard (DESIGN.md §2.8).
 
     /// Run the protocol's `init` hook. `run_sharded` calls this once per
     /// shard in ascending shard order, so shared-state mutations during
-    /// init replay the serial engine's order.
+    /// init replay the one-shard run's order.
     pub fn shard_init(&mut self) {
         self.protocol.init(&mut Ctx {
             core: &mut self.core,
@@ -1430,41 +1449,57 @@ impl<P: Protocol> Sim<P> {
         }
     }
 
-    /// Pop and process exactly one event — the sequential phase that
-    /// keeps timers (shared-ledger mutations) in global order. Counted
-    /// exactly like a serial event.
-    pub fn shard_step(&mut self) {
-        if let Some((t, ev)) = self.core.pop_event() {
-            self.note_event(t);
-            self.dispatch(t, ev);
-        }
-    }
-
-    /// Pop and discard the head event, which must be a timer: the serial
-    /// engine discards timers uncounted once every rank is done, and a
-    /// sharded run mirrors that when *global* completion is reached.
-    pub fn shard_discard_timer(&mut self) {
-        let popped = self.core.pop_event();
-        debug_assert!(
-            matches!(popped, Some((_, Event::Timer { .. }))),
-            "shard_discard_timer popped a non-timer event"
-        );
-    }
-
-    /// Process every event strictly before `horizon`, stopping early if
-    /// a timer surfaces at the head (timers are globally sequenced one
-    /// step at a time, never run inside a window).
-    pub fn shard_run_window(&mut self, horizon: SimTime) {
-        while let Some((t, k)) = self.core.sched.peek_keyed() {
-            if t >= horizon || key::class(k) == key::CLASS_TIMER {
-                break;
+    /// Act on `decision` as shard `me`. A `Step` pops and processes the
+    /// head event, the sequential phase that keeps timers (shared-ledger
+    /// mutations) in global order; a `DiscardTimer` drops the head timer
+    /// uncounted once every rank is done. Both apply only to the shard
+    /// they name. A `Window` processes every event strictly before its
+    /// horizon, stopping early at a timer (timers are never run inside a
+    /// window) or once this shard's own count passes `max_events`.
+    /// `Stop` does nothing.
+    pub fn act(&mut self, decision: Decision, me: usize) {
+        match decision {
+            Decision::Step { shard } if shard == me => {
+                self.process_next();
             }
-            let Some((t, ev)) = self.core.pop_event() else {
-                break;
-            };
-            self.note_event(t);
-            self.dispatch(t, ev);
+            Decision::DiscardTimer { shard } if shard == me => {
+                let popped = self.core.pop_event();
+                debug_assert!(
+                    matches!(popped, Some((_, Event::Timer { .. }))),
+                    "a timer discard popped a non-timer event"
+                );
+            }
+            Decision::Window(horizon) => {
+                while let Some((t, k)) = self.core.sched.peek_keyed() {
+                    if t >= horizon || key::class(k) == key::CLASS_TIMER || !self.process_next() {
+                        break;
+                    }
+                }
+            }
+            Decision::Step { .. } | Decision::DiscardTimer { .. } | Decision::Stop { .. } => {}
         }
+    }
+
+    /// Pop, count and dispatch the head event; fire the sampling
+    /// recorder hook between count and dispatch. An event past the
+    /// `max_events` budget is counted but not dispatched, and `false`
+    /// ends the window: the next decision stops the run.
+    fn process_next(&mut self) -> bool {
+        let Some((t, ev)) = self.core.pop_event() else {
+            return false;
+        };
+        self.core.metrics.events += 1;
+        if self.core.metrics.events > self.core.config.max_events {
+            return false;
+        }
+        if self.core.recorder.is_some() {
+            let g = self.core.gauges();
+            if let Some(rec) = self.core.recorder.as_deref_mut() {
+                rec.on_tick(t, &g);
+            }
+        }
+        self.dispatch(t, ev);
+        true
     }
 
     /// Drain the cross-shard sends produced since the last call.
@@ -1494,19 +1529,6 @@ impl<P: Protocol> Sim<P> {
             log_timeline: self.core.log_timeline.take().unwrap_or_default(),
             metrics: self.core.metrics,
             trace: self.core.trace,
-        }
-    }
-
-    /// Count one processed event and fire the sampling recorder hook
-    /// (shard paths; the serial loop inlines this so its event-limit
-    /// check sits between the count and the tick).
-    fn note_event(&mut self, t: SimTime) {
-        self.core.metrics.events += 1;
-        if self.core.recorder.is_some() {
-            let g = self.core.gauges();
-            if let Some(rec) = self.core.recorder.as_deref_mut() {
-                rec.on_tick(t, &g);
-            }
         }
     }
 
@@ -1866,6 +1888,20 @@ mod tests {
         );
         // Same messages, same digests: only the wire time moved.
         assert_eq!(intra.digests, inter.digests);
+    }
+
+    #[test]
+    fn event_limit_stops_exactly_one_past_the_cap() {
+        let cap = 7;
+        let config = SimConfig {
+            max_events: cap,
+            ..SimConfig::default()
+        };
+        let report = Sim::new(ping_pong(10, 8), config, NullProtocol).run();
+        assert_eq!(report.status, RunStatus::EventLimit);
+        // The over-budget event is counted, not dispatched.
+        assert_eq!(report.metrics.events, cap + 1);
+        assert!(report.metrics.deliveries < 20);
     }
 
     #[test]

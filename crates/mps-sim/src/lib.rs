@@ -48,8 +48,8 @@ pub mod types;
 pub use app::{AppState, DetMode};
 pub use cluster::ClusterMap;
 pub use engine::{
-    Ctx, InFlightMsg, LogDelta, RankSnapshot, RemoteEnvelope, RunReport, RunStatus, ShardOutcome,
-    ShardState, Sim, SimConfig,
+    decide, Ctx, Decision, InFlightMsg, LogDelta, RankSnapshot, RemoteEnvelope, RunReport,
+    RunStatus, ShardOutcome, ShardState, Sim, SimConfig,
 };
 pub use failure::{
     Cascade, CorrelatedCluster, FailureEvent, FailureModel, FixedSchedule, PoissonPerRank,
@@ -84,4 +84,151 @@ pub mod prelude {
     pub use crate::protocol::{NullProtocol, Protocol, SendAction, SendDirective, SendInfo};
     pub use crate::types::{ChannelId, Endpoint, Message, PbMeta, Rank, Tag};
     pub use det_sim::{SimDuration, SimTime};
+}
+
+#[cfg(test)]
+mod tests {
+    //! The pure lockstep decision ([`decide`]), shard by shard.
+
+    use super::*;
+    use det_sim::{SimDuration, SimTime};
+    use engine::key;
+
+    fn lookahead() -> SimDuration {
+        SimDuration::from_ps(1_000)
+    }
+
+    /// A shard whose next event is `peek`, with `hot` non-timer
+    /// events queued.
+    fn state(peek: Option<(u64, u64)>, hot: u64, done: bool, events: u64) -> ShardState {
+        ShardState {
+            peek: peek.map(|(t, k)| (SimTime::from_ps(t), k)),
+            pending_hot: hot,
+            done,
+            events,
+        }
+    }
+
+    fn exec() -> u64 {
+        key::exec(Rank(0), 0)
+    }
+
+    #[test]
+    fn decide_stops_when_the_event_budget_is_spent() {
+        let states = [
+            state(Some((5, exec())), 1, false, 6),
+            state(Some((3, exec())), 1, false, 5),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 10),
+            Decision::Stop { limit_hit: true }
+        );
+        assert_eq!(
+            decide(&states, lookahead(), 11),
+            Decision::Window(SimTime::from_ps(1_003))
+        );
+    }
+
+    #[test]
+    fn decide_stops_when_drained() {
+        // Done everywhere, nothing hot left: a pending timer is moot.
+        let states = [
+            state(Some((9, key::timer(1))), 0, true, 4),
+            state(None, 0, true, 4),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Stop { limit_hit: false }
+        );
+    }
+
+    #[test]
+    fn decide_stops_on_deadlock() {
+        let states = [state(None, 0, false, 4), state(None, 0, true, 4)];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Stop { limit_hit: false }
+        );
+    }
+
+    #[test]
+    fn decide_steps_the_global_minimum_timer_on_its_shard() {
+        let states = [
+            state(Some((7, exec())), 1, false, 0),
+            state(Some((7, key::timer(3))), 0, false, 0),
+            state(Some((8, key::timer(2))), 0, true, 0),
+        ];
+        // Exec outranks a timer at the same instant.
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Window(SimTime::from_ps(1_007))
+        );
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(Some((7, key::timer(3))), 0, false, 0),
+            state(Some((8, key::timer(2))), 0, true, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Step { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_discards_timers_after_global_completion() {
+        // Every rank is done but an arrival is still in flight: the
+        // earlier timer goes uncounted.
+        let states = [
+            state(Some((9, exec())), 1, true, 0),
+            state(Some((7, key::timer(3))), 0, true, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::DiscardTimer { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_steps_sequentially_without_lookahead() {
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(Some((4, exec())), 1, false, 0),
+        ];
+        assert_eq!(
+            decide(&states, SimDuration::ZERO, 100),
+            Decision::Step { shard: 1 }
+        );
+    }
+
+    #[test]
+    fn decide_opens_a_window_at_the_global_minimum() {
+        let states = [
+            state(Some((9, exec())), 1, false, 0),
+            state(None, 0, true, 0),
+            state(Some((4, exec())), 1, false, 0),
+        ];
+        assert_eq!(
+            decide(&states, lookahead(), 100),
+            Decision::Window(SimTime::from_ps(1_004))
+        );
+    }
+
+    #[test]
+    fn unbounded_lookahead_saturates_instead_of_wrapping() {
+        // The one-shard run: the horizon pins at the end of time.
+        let unbounded = SimDuration::from_ps(u64::MAX);
+        let near_end = u64::MAX - 5;
+        let states = [state(Some((near_end, exec())), 1, false, 0)];
+        assert_eq!(
+            decide(&states, unbounded, 100),
+            Decision::Window(SimTime::MAX)
+        );
+        assert_eq!(
+            decide(&[state(Some((3, exec())), 1, false, 0)], unbounded, 100),
+            Decision::Window(SimTime::MAX)
+        );
+        // Nothing is before the end of time: an event there steps.
+        let states = [state(Some((u64::MAX, exec())), 1, false, 0)];
+        assert_eq!(decide(&states, unbounded, 100), Decision::Step { shard: 0 });
+    }
 }

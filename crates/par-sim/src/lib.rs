@@ -1,6 +1,6 @@
 //! # par-sim — conservative cluster-sharded parallel simulation
 //!
-//! A parallel front-end for the serial `mps-sim` engine (DESIGN.md §2.8):
+//! A parallel front-end for the `mps-sim` engine (DESIGN.md §2.8):
 //! the rank space is partitioned into **shards of whole clusters**, each
 //! shard runs its own engine instance (event queue + scheduler) on its own
 //! thread, and the shards advance together through conservative **time
@@ -18,33 +18,36 @@
 //! 2. publish its [`ShardState`] (next `(time, key)`, hot backlog,
 //!    completion, event count) and wait at the barrier;
 //! 3. read every shard's state and compute the same decision with the
-//!    pure function `decide`: stop, step one shard's head event, discard
-//!    one shard's head timer, or run a window `[gmin, gmin + lookahead)`
-//!    in parallel — no event in that window can make anything arrive on
-//!    another shard before the horizon, because a message executed at
-//!    `u ≥ gmin` arrives no earlier than `u + lookahead`;
-//! 4. act on it (only the named shard acts on a step or a discard), move
-//!    its cross-shard sends into the slots of their target shards (their
-//!    arrival times were FIFO-adjusted on the sending shard), and wait at
-//!    the barrier again.
+//!    pure function `mps_sim::decide`: stop, step one shard's head
+//!    event, discard one shard's head timer, or run a window
+//!    `[gmin, gmin + lookahead)` in parallel — no event in that window
+//!    can make anything arrive on another shard before the horizon,
+//!    because a message executed at `u ≥ gmin` arrives no earlier than
+//!    `u + lookahead`;
+//! 4. act on it with `Sim::act` (only the named shard acts on a step or
+//!    a discard), move its cross-shard sends into the slots of their
+//!    target shards (their arrival times were FIFO-adjusted on the
+//!    sending shard), and wait at the barrier again.
 //!
 //! **Timers are never run inside a window.** They are the one event class
 //! that touches state shared between shards (the storage-contention
 //! ledger, via checkpoint policies), so they execute one at a time in
-//! global `(time, key)` order — exactly the serial engine's order. Window
+//! global `(time, key)` order — exactly a one-shard run's order. Window
 //! events commute across shards: they only touch shard-local state.
 //!
-//! The contract is **bit-for-bit equivalence** with the serial engine:
-//! same digests, same metrics, same containment integers (the serial
-//! engine stays the oracle, like `UnrolledProgram` before it). It holds
-//! because the scheduler orders events by content-derived keys — see
-//! `mps_sim::engine::key` — so the pop order of same-instant events does
-//! not depend on which engine instance scheduled them. Two deliberate
-//! exceptions, both documented in DESIGN.md §2.8: the `max_events`
-//! budget is enforced per window round (a sharded run may overshoot the
-//! serial cut-off point before noticing), and the byte order of telemetry
-//! *trace files* depends on wall-clock interleaving (recorders observe,
-//! they never influence).
+//! A serial run is the same loop with one shard, run by
+//! `Sim::run_with_protocol` on the caller's thread with an unbounded
+//! lookahead and no barrier. The contract is **bit-for-bit equivalence**
+//! at every shard count: same digests, same metrics, same containment
+//! integers as the one-shard run, whose results the committed goldens
+//! pin. It holds because the scheduler orders events by content-derived
+//! keys — see `mps_sim::engine::key` — so the pop order of same-instant
+//! events does not depend on which engine instance scheduled them. Two
+//! deliberate exceptions, both documented in DESIGN.md §2.8: a window
+//! stops on its own shard's `max_events` count, so the shards together
+//! may pass the budget before the next decision stops the run, and the
+//! byte order of telemetry *trace files* depends on wall-clock
+//! interleaving (recorders observe, they never influence).
 //!
 //! A shard that panics records the barrier wait it is about to take in a
 //! shared abort slot and takes that one wait, which releases its peers;
@@ -56,11 +59,10 @@
 //! engine.
 
 use det_sim::{SimDuration, SimTime};
-use mps_sim::engine::key;
 use mps_sim::{
-    Application, ClusterMap, Endpoint, Gauges, LogDelta, Metrics, Protocol, Recorder,
-    RecoveryPhase, RemoteEnvelope, RunReport, RunStatus, ShardOutcome, ShardState, Sim, SimConfig,
-    StorageDir,
+    decide, Application, ClusterMap, Decision, Endpoint, Gauges, LogDelta, Metrics, Protocol,
+    Recorder, RecoveryPhase, RemoteEnvelope, RunReport, RunStatus, ShardOutcome, ShardState, Sim,
+    SimConfig, StorageDir,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -226,60 +228,6 @@ impl Recorder for SharedRecorder {
 // Lockstep loop
 // ---------------------------------------------------------------------------
 
-/// What every shard does next. All shards compute it from the same state
-/// table, so they agree without a coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Decision {
-    /// End the run; `limit_hit` when the `max_events` budget ran out.
-    Stop { limit_hit: bool },
-    /// `shard` pops and processes its head event alone.
-    Step { shard: usize },
-    /// `shard` drops its head timer uncounted.
-    DiscardTimer { shard: usize },
-    /// Every shard processes its events strictly before the horizon.
-    Window(SimTime),
-}
-
-/// The one window decision of a sharded run, from every shard's state.
-fn decide(states: &[ShardState], lookahead: SimDuration, max_events: u64) -> Decision {
-    // Global `max_events` budget, enforced per round (DESIGN.md §2.8:
-    // approximate — a window may overshoot the serial cut-off first).
-    if states.iter().map(|st| st.events).sum::<u64>() > max_events {
-        return Decision::Stop { limit_hit: true };
-    }
-    let all_done = states.iter().all(|st| st.done);
-    if all_done && states.iter().all(|st| st.pending_hot == 0) {
-        return Decision::Stop { limit_hit: false }; // leftover timers are moot
-    }
-    // Global minimum (time, key). Cross-shard (time, key) pairs are
-    // distinct by construction (content-derived keys); ties would go to
-    // the lower shard.
-    let Some(((tmin, kmin), shard)) = states
-        .iter()
-        .enumerate()
-        .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
-        .min()
-    else {
-        return Decision::Stop { limit_hit: false }; // deadlock
-    };
-    if key::class(kmin) == key::CLASS_TIMER {
-        // Timers mutate shared state: one at a time in global (time, key)
-        // order — the serial order. After global completion they are
-        // discarded uncounted, like the serial drain loop does.
-        return if all_done {
-            Decision::DiscardTimer { shard }
-        } else {
-            Decision::Step { shard }
-        };
-    }
-    let horizon = tmin + lookahead;
-    if horizon <= tmin {
-        // Degenerate zero-lookahead model: step the globally next event.
-        return Decision::Step { shard };
-    }
-    Decision::Window(horizon)
-}
-
 /// What the shard threads of one run share: the barrier they step on,
 /// the published state table and the per-pair envelope slots.
 struct Lockstep<C> {
@@ -358,12 +306,9 @@ impl<C> Lockstep<C> {
             let states: Vec<ShardState> = self.states.iter().map(|s| *s.lock().unwrap()).collect();
             match decide(&states, self.lookahead, self.max_events) {
                 Decision::Stop { limit_hit } => return Some((rounds, limit_hit)),
-                Decision::Step { shard } if shard == me => sim.shard_step(),
-                Decision::DiscardTimer { shard } if shard == me => sim.shard_discard_timer(),
-                Decision::Step { .. } | Decision::DiscardTimer { .. } => {}
-                Decision::Window(horizon) => {
-                    sim.shard_run_window(horizon);
-                    rounds += 1;
+                decision => {
+                    rounds += matches!(decision, Decision::Window(_)) as u64;
+                    sim.act(decision, me);
                 }
             }
             for env in sim.shard_take_outbox() {
@@ -585,7 +530,11 @@ fn merge(
         metrics.recovery_time += m.recovery_time;
     }
     metrics.makespan = makespan;
-    metrics.logged_bytes_peak = replay_log_peak(&outcomes);
+    metrics.logged_bytes_peak = match &outcomes[..] {
+        // A lone shard applied every mutation in global order itself.
+        [only] => only.metrics.logged_bytes_peak,
+        _ => replay_log_peak(&outcomes),
+    };
 
     let status = if limit_hit {
         RunStatus::EventLimit
@@ -662,125 +611,6 @@ fn replay_log_peak(outcomes: &[ShardOutcome]) -> u64 {
 mod tests {
     use super::*;
     use mps_sim::ClusterMap;
-
-    fn lookahead() -> SimDuration {
-        SimDuration::from_ps(1_000)
-    }
-
-    /// A shard whose next event is `peek`, with `hot` non-timer events
-    /// queued.
-    fn state(peek: Option<(u64, u64)>, hot: u64, done: bool, events: u64) -> ShardState {
-        ShardState {
-            peek: peek.map(|(t, k)| (SimTime::from_ps(t), k)),
-            pending_hot: hot,
-            done,
-            events,
-        }
-    }
-
-    fn exec() -> u64 {
-        key::exec(mps_sim::Rank(0), 0)
-    }
-
-    #[test]
-    fn decide_stops_when_the_event_budget_is_spent() {
-        let states = [
-            state(Some((5, exec())), 1, false, 6),
-            state(Some((3, exec())), 1, false, 5),
-        ];
-        assert_eq!(
-            decide(&states, lookahead(), 10),
-            Decision::Stop { limit_hit: true }
-        );
-        assert_eq!(
-            decide(&states, lookahead(), 11),
-            Decision::Window(SimTime::from_ps(1_003))
-        );
-    }
-
-    #[test]
-    fn decide_stops_when_drained() {
-        // Done everywhere, nothing hot left: a pending timer is moot.
-        let states = [
-            state(Some((9, key::timer(1))), 0, true, 4),
-            state(None, 0, true, 4),
-        ];
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::Stop { limit_hit: false }
-        );
-    }
-
-    #[test]
-    fn decide_stops_on_deadlock() {
-        let states = [state(None, 0, false, 4), state(None, 0, true, 4)];
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::Stop { limit_hit: false }
-        );
-    }
-
-    #[test]
-    fn decide_steps_the_global_minimum_timer_on_its_shard() {
-        let states = [
-            state(Some((7, exec())), 1, false, 0),
-            state(Some((7, key::timer(3))), 0, false, 0),
-            state(Some((8, key::timer(2))), 0, true, 0),
-        ];
-        // Exec outranks a timer at the same instant.
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::Window(SimTime::from_ps(1_007))
-        );
-        let states = [
-            state(Some((9, exec())), 1, false, 0),
-            state(Some((7, key::timer(3))), 0, false, 0),
-            state(Some((8, key::timer(2))), 0, true, 0),
-        ];
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::Step { shard: 1 }
-        );
-    }
-
-    #[test]
-    fn decide_discards_timers_after_global_completion() {
-        // Every rank is done but an arrival is still in flight: the
-        // earlier timer goes uncounted.
-        let states = [
-            state(Some((9, exec())), 1, true, 0),
-            state(Some((7, key::timer(3))), 0, true, 0),
-        ];
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::DiscardTimer { shard: 1 }
-        );
-    }
-
-    #[test]
-    fn decide_steps_sequentially_without_lookahead() {
-        let states = [
-            state(Some((9, exec())), 1, false, 0),
-            state(Some((4, exec())), 1, false, 0),
-        ];
-        assert_eq!(
-            decide(&states, SimDuration::ZERO, 100),
-            Decision::Step { shard: 1 }
-        );
-    }
-
-    #[test]
-    fn decide_opens_a_window_at_the_global_minimum() {
-        let states = [
-            state(Some((9, exec())), 1, false, 0),
-            state(None, 0, true, 0),
-            state(Some((4, exec())), 1, false, 0),
-        ];
-        assert_eq!(
-            decide(&states, lookahead(), 100),
-            Decision::Window(SimTime::from_ps(1_004))
-        );
-    }
 
     #[test]
     fn effective_shards_clamps_with_warning() {

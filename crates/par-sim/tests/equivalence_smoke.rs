@@ -8,7 +8,8 @@
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
-    Application, CheckpointPolicyConfig, ClusterMap, NullProtocol, RunReport, Sim, SimConfig,
+    Application, CheckpointPolicyConfig, ClusterMap, NullProtocol, RunReport, RunStatus, Sim,
+    SimConfig,
 };
 use net_model::StorageLedger;
 use par_sim::run_sharded;
@@ -81,7 +82,7 @@ fn hydee_with_periodic_checkpoints_matches_serial() {
     assert!(serial.completed());
     assert!(serial.metrics.checkpoints > 0, "checkpoints must fire");
     assert!(serial.metrics.logged_bytes_peak > 0, "logs must grow");
-    for shards in [2, 3] {
+    for shards in [1, 2, 3] {
         let ledger = Arc::new(Mutex::new(StorageLedger::new(mk_cfg().storage)));
         let par = run_sharded(
             stencil(12, 10),
@@ -118,4 +119,31 @@ fn deadlocked_run_merges_the_stuck_diagnostics() {
     );
     assert_eq!(serial.status, par.status);
     assert!(!par.completed());
+}
+
+#[test]
+fn event_budget_stops_a_sharded_run() {
+    let cap = 50;
+    let config = SimConfig {
+        max_events: cap,
+        ..SimConfig::default()
+    };
+    let par = run_sharded(
+        stencil(16, 8),
+        config,
+        &ClusterMap::blocks(16, 4),
+        2,
+        |_| NullProtocol,
+        None,
+    );
+    assert_eq!(par.status, RunStatus::EventLimit);
+    assert_eq!(par.shards, 2);
+    // Each shard's window stops once its own count passes the budget,
+    // and the next decision stops the run.
+    assert!(par.metrics.events > cap, "{}", par.metrics.events);
+    assert!(
+        par.metrics.events <= 2 * (cap + 1),
+        "{}",
+        par.metrics.events
+    );
 }

@@ -28,6 +28,7 @@ use mps_sim::{
     Protocol, Recorder, RunReport, Sim, SimConfig,
 };
 use net_model::{StableStorage, StorageLedger};
+use par_sim::ShardSlice;
 use std::sync::{Arc, Mutex};
 
 pub use mps_sim::FailureEvent;
@@ -168,6 +169,40 @@ pub trait ProtocolFactory: Send + Sync {
     fn run(&self, req: RunRequest) -> RunReport;
 }
 
+/// Run the request on `n` cluster shards, `make_protocol` building each
+/// shard's protocol from the request's cluster map and the shard's slice.
+fn run_parallel<P, F>(req: RunRequest, n: usize, mut make_protocol: F) -> RunReport
+where
+    P: Protocol + Send,
+    P::Ctl: Send,
+    F: FnMut(&ClusterMap, &ShardSlice) -> P,
+{
+    let RunRequest {
+        app,
+        sim_config,
+        clusters,
+        recorder,
+        ..
+    } = req;
+    let make = |slice: &ShardSlice| make_protocol(&clusters, slice);
+    par_sim::run_sharded(app, sim_config, &clusters, n, make, recorder)
+}
+
+/// One storage ledger shared by all shard-local HydEE copies: stable
+/// storage is the only machine-global resource, and the sharded engine
+/// sequences every timer (= every policy consultation) in global order,
+/// so sharing it is safe.
+fn shared_ledger(
+    params: &HydeeParams,
+    clusters: &ClusterMap,
+    (drain_lat, drain_pb): (SimDuration, u64),
+) -> Arc<Mutex<StorageLedger>> {
+    Arc::new(Mutex::new(
+        StorageLedger::new(params.config_for(clusters.clone()).storage)
+            .with_drain_surcharge(drain_lat, drain_pb),
+    ))
+}
+
 fn run_sim<P: Protocol>(req: RunRequest, protocol: P) -> RunReport {
     let mut sim = Sim::new(req.app, req.sim_config, protocol);
     sim.set_failure_model(req.failure_model);
@@ -188,14 +223,7 @@ impl ProtocolFactory for NativeFactory {
 
     fn run(&self, req: RunRequest) -> RunReport {
         if let Some(n) = parallel_shards(&req) {
-            let RunRequest {
-                app,
-                sim_config,
-                clusters,
-                recorder,
-                ..
-            } = req;
-            return par_sim::run_sharded(app, sim_config, &clusters, n, |_| NullProtocol, recorder);
+            return run_parallel(req, n, |_, _| NullProtocol);
         }
         run_sim(req, NullProtocol)
     }
@@ -263,35 +291,14 @@ impl ProtocolFactory for HydeeFactory {
     fn run(&self, req: RunRequest) -> RunReport {
         let (drain_lat, drain_pb) = drain_surcharge(&req);
         if let Some(n) = parallel_shards(&req) {
-            let RunRequest {
-                app,
-                sim_config,
-                clusters,
-                recorder,
-                ..
-            } = req;
-            // One ledger shared by all shard-local protocol copies:
-            // stable storage is the only machine-global resource, and
-            // the sharded engine sequences every timer (= every policy
-            // consultation) in global order, so sharing it is safe.
-            let ledger = Arc::new(Mutex::new(
-                StorageLedger::new(self.params.config_for(clusters.clone()).storage)
-                    .with_drain_surcharge(drain_lat, drain_pb),
-            ));
-            return par_sim::run_sharded(
-                app,
-                sim_config,
-                &clusters,
-                n,
-                |slice| {
-                    Hydee::sharded(
-                        self.params.config_for(clusters.clone()),
-                        ledger.clone(),
-                        slice.clusters.clone(),
-                    )
-                },
-                recorder,
-            );
+            let ledger = shared_ledger(&self.params, &req.clusters, (drain_lat, drain_pb));
+            return run_parallel(req, n, |clusters, slice| {
+                Hydee::sharded(
+                    self.params.config_for(clusters.clone()),
+                    ledger.clone(),
+                    slice.clusters.clone(),
+                )
+            });
         }
         let mut protocol = Hydee::new(self.params.config_for(req.clusters.clone()));
         protocol.set_drain_surcharge(drain_lat, drain_pb);
@@ -351,37 +358,20 @@ impl ProtocolFactory for EventLoggedFactory {
     fn run(&self, req: RunRequest) -> RunReport {
         let (drain_lat, drain_pb) = drain_surcharge(&req);
         if let Some(n) = parallel_shards(&req) {
-            let RunRequest {
-                app,
-                sim_config,
-                clusters,
-                recorder,
-                ..
-            } = req;
-            let ledger = Arc::new(Mutex::new(
-                StorageLedger::new(self.params.config_for(clusters.clone()).storage)
-                    .with_drain_surcharge(drain_lat, drain_pb),
-            ));
-            return par_sim::run_sharded(
-                app,
-                sim_config,
-                &clusters,
-                n,
-                |slice| {
-                    // The determinant wrapper holds only shard-local
-                    // state (a counter and per-delivery charges), so it
-                    // shards by wrapping the sharded inner protocol.
-                    EventLogged::new(
-                        Hydee::sharded(
-                            self.params.config_for(clusters.clone()),
-                            ledger.clone(),
-                            slice.clusters.clone(),
-                        ),
-                        self.cost,
-                    )
-                },
-                recorder,
-            );
+            let ledger = shared_ledger(&self.params, &req.clusters, (drain_lat, drain_pb));
+            return run_parallel(req, n, |clusters, slice| {
+                // The determinant wrapper holds only shard-local state (a
+                // counter and per-delivery charges), so it shards by
+                // wrapping the sharded inner protocol.
+                EventLogged::new(
+                    Hydee::sharded(
+                        self.params.config_for(clusters.clone()),
+                        ledger.clone(),
+                        slice.clusters.clone(),
+                    ),
+                    self.cost,
+                )
+            });
         }
         let mut inner = Hydee::new(self.params.config_for(req.clusters.clone()));
         inner.set_drain_surcharge(drain_lat, drain_pb);

@@ -112,9 +112,8 @@ impl Executor {
             };
         }
         let factory = spec.protocol.to_factory();
-        // Always attach the built topology — `Flat` included — so the
-        // oracle path (flat topology == no topology, bit-for-bit) is
-        // exercised by every sweep, not just by its unit tests.
+        // Always attach the built topology, `Flat` included: the engine
+        // prices every message through one topology path either way.
         let mut cfg = spec.sim_config();
         cfg.topology = Some(std::sync::Arc::new(
             spec.topology
