@@ -715,7 +715,7 @@ fn main() {
                 continue;
             }
             let n_clusters = spec.clusters.n_clusters_for(spec.workload.n_ranks());
-            let (_, warning) = par_sim::effective_shards(spec.shards, n_clusters);
+            let (_, warning) = mps_sim::effective_shards(spec.shards, n_clusters);
             if let Some(w) = warning {
                 let msg = format!("{} ({}): {w}", spec.clusters.name(), spec.workload.name());
                 if warned.insert(msg.clone()) {

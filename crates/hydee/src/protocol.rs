@@ -75,8 +75,9 @@ pub struct Hydee {
     /// only timers touch the ledger and the sharded engine executes
     /// timers globally sequenced.
     ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
-    /// Clusters this protocol instance schedules checkpoints for — `None`
-    /// serially (all of them), the shard's cluster set in a sharded run.
+    /// Clusters this protocol instance schedules checkpoints for, in
+    /// ascending order — `None` for all of them, else the shard's cluster
+    /// set.
     /// Per-cluster policy state only ever observes its own cluster, so
     /// per-shard policy copies over disjoint owned sets are equivalent to
     /// the serial single policy.
@@ -123,9 +124,9 @@ impl Hydee {
     }
 
     /// Construct one shard's protocol instance for a sharded run: `ledger`
-    /// is shared by every shard, `owned` is the cluster set this shard
-    /// simulates (it captures the t=0 checkpoint and schedules checkpoint
-    /// timers only for those).
+    /// is shared by every shard, `owned` is the ascending cluster set this
+    /// shard simulates (it captures the t=0 checkpoint and schedules
+    /// checkpoint timers only for those).
     pub fn sharded(
         cfg: HydeeConfig,
         ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
@@ -134,6 +135,7 @@ impl Hydee {
         let policy = cfg
             .resolved_policy()
             .build(cfg.first_checkpoint, cfg.checkpoint_stagger);
+        debug_assert!(owned.is_sorted(), "owned clusters must ascend");
         Self::build(cfg, policy, ledger, Some(owned))
     }
 
@@ -190,7 +192,7 @@ impl Hydee {
     fn owns_cluster(&self, c: u32) -> bool {
         match &self.owned {
             None => true,
-            Some(owned) => owned.contains(&c),
+            Some(owned) => owned.binary_search(&c).is_ok(),
         }
     }
 

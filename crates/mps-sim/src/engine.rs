@@ -33,6 +33,7 @@ use crate::metrics::Metrics;
 use crate::peer_map::PeerMap;
 use crate::program::{Application, Op, RankProgram};
 use crate::protocol::{Protocol, SendAction, SendInfo};
+use crate::shards::{decide, merge, Decision, ShardState};
 use crate::trace::Trace;
 use crate::types::{Endpoint, Message, Rank};
 use det_sim::{EventHandle, FxHashMap, Scheduler, SimDuration, SimTime};
@@ -65,9 +66,22 @@ pub struct SimConfig {
     /// topology must be built over the same base model as `network` (the
     /// scenario executor guarantees this). `None` — the default — means
     /// a flat topology over `network`, which prices every message on
-    /// `network` alone. Traffic involving an auxiliary endpoint is
-    /// always priced on the local link class.
+    /// `network` alone (see [`SimConfig::resolved_topology`]). Traffic
+    /// involving an auxiliary endpoint is always priced on the local
+    /// link class.
     pub topology: Option<Arc<Topology>>,
+}
+
+impl SimConfig {
+    /// The topology a run of `n_ranks` prices through: `topology`, or a
+    /// flat one over `network` when unset. The engine, the run driver's
+    /// lookahead and the protocol factories' storage drain path all read
+    /// the topology through here.
+    pub fn resolved_topology(&self, n_ranks: usize) -> Arc<Topology> {
+        self.topology
+            .clone()
+            .unwrap_or_else(|| Arc::new(Topology::flat(self.network.clone(), vec![0; n_ranks])))
+    }
 }
 
 impl Default for SimConfig {
@@ -88,7 +102,7 @@ impl Default for SimConfig {
 /// within its class. Keys are **content-derived** — a pure function of
 /// what the event is, never of when it was inserted — which makes the
 /// pop order of same-instant events identical whether they were
-/// scheduled by one serial engine or injected across shard boundaries.
+/// scheduled by a one-shard run or injected across shard boundaries.
 pub mod key {
     use super::{Endpoint, Rank};
 
@@ -179,14 +193,14 @@ pub struct RunReport {
     /// indicates a duplicate delivery (protocol bug).
     pub inbox_leftover: Vec<usize>,
     pub makespan: SimTime,
-    /// Shards the run executed on (1 for the serial engine).
+    /// Shards the run executed on (the driver's effective count).
     pub shards: u32,
-    /// Synchronization windows the parallel engine ran (0 serial).
+    /// Synchronization windows the lockstep loop ran (0 on one shard).
     pub barrier_rounds: u64,
     /// Per-shard-pair conservative lookahead the parallel engine
     /// derived from the run topology: `(shard_i, shard_j, lookahead)`
     /// for `i < j`, the minimum transit over the link classes actually
-    /// crossing that shard boundary (DESIGN.md §2.9). Empty for serial
+    /// crossing that shard boundary (DESIGN.md §2.9). Empty for one-shard
     /// runs and for flat topologies (where the legacy scalar applies).
     pub pair_lookahead: Vec<(u32, u32, SimDuration)>,
 }
@@ -197,83 +211,11 @@ impl RunReport {
     }
 }
 
-/// What the lockstep loop reads from one shard before every decision
-/// (DESIGN.md §2.8): the inputs of [`decide`]. Returned by
-/// [`Sim::shard_state`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardState {
-    /// `(time, key)` of the shard's next live event, if any.
-    pub peek: Option<(SimTime, u64)>,
-    /// Live non-timer events in the shard's queue.
-    pub pending_hot: u64,
-    /// Have all ranks the shard owns finished?
-    pub done: bool,
-    /// Events the shard has processed so far.
-    pub events: u64,
-}
-
-/// What every shard does next. All shards compute it from the same state
-/// table, so they agree without a coordinator; [`Sim::act`] carries it out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// End the run; `limit_hit` when the `max_events` budget ran out.
-    Stop { limit_hit: bool },
-    /// `shard` pops and processes its head event alone.
-    Step { shard: usize },
-    /// `shard` drops its head timer uncounted.
-    DiscardTimer { shard: usize },
-    /// Every shard processes its events strictly before the horizon.
-    Window(SimTime),
-}
-
-/// The one drain decision of a run, from every shard's state. A serial
-/// run is the one-shard case with an unbounded `lookahead`: its windows
-/// end only at timers.
-pub fn decide(states: &[ShardState], lookahead: SimDuration, max_events: u64) -> Decision {
-    // Global `max_events` budget. Every shard also stops its window once
-    // its own count passes the budget, so one shard stops exactly.
-    if states.iter().map(|st| st.events).sum::<u64>() > max_events {
-        return Decision::Stop { limit_hit: true };
-    }
-    let all_done = states.iter().all(|st| st.done);
-    if all_done && states.iter().all(|st| st.pending_hot == 0) {
-        return Decision::Stop { limit_hit: false }; // leftover timers are moot
-    }
-    // Global minimum (time, key). Cross-shard (time, key) pairs are
-    // distinct by construction (content-derived keys); ties would go to
-    // the lower shard.
-    let Some(((tmin, kmin), shard)) = states
-        .iter()
-        .enumerate()
-        .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
-        .min()
-    else {
-        return Decision::Stop { limit_hit: false }; // deadlock
-    };
-    if key::class(kmin) == key::CLASS_TIMER {
-        // Timers mutate shared state: one at a time in global (time, key)
-        // order. Once every rank is done they are discarded uncounted.
-        return if all_done {
-            Decision::DiscardTimer { shard }
-        } else {
-            Decision::Step { shard }
-        };
-    }
-    // Saturating: an unbounded lookahead must not wrap past `tmin`.
-    let horizon = SimTime::from_ps(tmin.as_ps().saturating_add(lookahead.as_ps()));
-    if horizon <= tmin {
-        // Zero lookahead (or an event at the end of time): step the
-        // globally next event.
-        return Decision::Step { shard };
-    }
-    Decision::Window(horizon)
-}
-
-/// Everything one shard contributes to a merged [`RunReport`]
-/// (extracted by [`Sim::shard_finish`], merged by `crates/par-sim`).
+/// Everything one shard contributes to the merged [`RunReport`]
+/// (extracted by [`Sim::shard_finish`], merged by `shards::merge`).
 /// Vectors are indexed by global rank id and full-length; only the
 /// entries for ranks the shard owns are meaningful.
-pub struct ShardOutcome {
+pub(crate) struct ShardOutcome {
     pub digests: Vec<u64>,
     pub inbox_leftover: Vec<usize>,
     pub clocks: Vec<SimTime>,
@@ -287,6 +229,10 @@ pub struct ShardOutcome {
     pub log_timeline: Vec<LogDelta>,
     pub metrics: Metrics,
     pub trace: Trace,
+    /// The shard's recorder, which the merge fires `on_run_end` on.
+    pub recorder: Option<Box<dyn Recorder>>,
+    /// The shard's live gauges at the end of the run.
+    pub gauges: Gauges,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -541,11 +487,11 @@ impl RankSet {
 
 /// A message crossing a shard boundary: everything the receiving shard
 /// needs to re-insert the flight into its own scheduler. Opaque outside
-/// the engine — the parallel engine only moves envelopes between
-/// shards at window barriers (DESIGN.md §2.8). The arrival time was
+/// the engine — the lockstep loop only moves envelopes between shards
+/// at window barriers (DESIGN.md §2.8). The arrival time was
 /// FIFO-adjusted on the *sender* shard (channel FIFO state lives with the
 /// sender), so the receiver schedules it verbatim.
-pub struct RemoteEnvelope<C> {
+pub(crate) struct RemoteEnvelope<C> {
     at: SimTime,
     from: Endpoint,
     to: Endpoint,
@@ -561,7 +507,7 @@ impl<C> RemoteEnvelope<C> {
     }
 }
 
-/// Shard identity of one engine instance. A serial run is one shard
+/// Shard identity of one engine instance. A one-shard run is one shard
 /// owning every rank.
 struct ShardView {
     my_shard: u32,
@@ -574,11 +520,11 @@ struct ShardView {
 /// One sender-log mutation, stamped with the global event order it
 /// happened under: `(time, event key, intra-event index)`. Shard-local
 /// sequences of these merge (k-way, by stamp) into the exact order the
-/// serial engine would have applied them in, which is how a sharded run
+/// one-shard run would have applied them in, which is how a sharded run
 /// reproduces `logged_bytes_peak` — a running-max over global order that
 /// per-shard counters cannot recover (DESIGN.md §2.8).
 #[derive(Debug, Clone, Copy)]
-pub struct LogDelta {
+pub(crate) struct LogDelta {
     pub at: SimTime,
     pub key: u64,
     pub sub: u32,
@@ -646,10 +592,7 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
                 send_seq: PeerMap::new(),
             })
             .collect();
-        let topology = config
-            .topology
-            .clone()
-            .unwrap_or_else(|| Arc::new(Topology::flat(config.network.clone(), vec![0; n])));
+        let topology = config.resolved_topology(n);
         let mut core = Core {
             sched: Scheduler::new(),
             ranks,
@@ -807,7 +750,9 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
         let at = self.fifo_adjust(from, to, computed);
         let at = at.max(self.sched.now());
         // Aux endpoints are engine-local: they only take part in
-        // recovery, and failure-bearing runs never shard (DESIGN.md §2.8).
+        // recovery, and the run driver's shard-count rule
+        // (`shards::shard_count`) runs every request whose failure model
+        // expects a failure on one shard (DESIGN.md §2.8).
         if matches!(to, Endpoint::Rank(r) if !self.owns(r)) {
             // Cross-shard: hand the flight to the owning shard. FIFO
             // state was already advanced above — the channel's order is
@@ -824,6 +769,13 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
     /// window barrier guarantees `at` has not been passed yet.
     fn insert_flight(&mut self, env: RemoteEnvelope<C>) {
         let RemoteEnvelope { at, from, to, kind } = env;
+        // The window invariant: a flight arriving before this shard's
+        // clock would land inside a window that already ran.
+        debug_assert!(
+            at >= self.sched.now(),
+            "flight {from:?} -> {to:?} arrives at {at:?}, before now = {:?}",
+            self.sched.now()
+        );
         let (flight, seq) = self.flights.reserve();
         let (ev, ctl) = match kind {
             FlightKind::App { .. } => (Event::AppArrival { flight, seq }, false),
@@ -1079,7 +1031,7 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
     /// Record `bytes` appended to a sender log. Equivalent to
     /// `metrics().log_append(bytes)` plus the journal entry a sharded run
     /// needs to reconstruct the global `logged_bytes_peak` (see
-    /// [`LogDelta`]); protocols must route log mutations through these
+    /// DESIGN.md §2.8); protocols must route log mutations through these
     /// two methods rather than the raw metrics.
     pub fn log_append(&mut self, bytes: u64) {
         self.core.metrics.log_append(bytes);
@@ -1145,7 +1097,7 @@ pub struct Sim<P: Protocol> {
 }
 
 impl<P: Protocol> Sim<P> {
-    /// A serial run: the one shard, owning every rank.
+    /// A one-shard run: the one shard, owning every rank.
     pub fn new(app: Application, config: SimConfig, protocol: P) -> Self {
         let n = app.n_ranks();
         Self::new_sharded(app, config, protocol, Arc::new(vec![0; n]), 0)
@@ -1155,9 +1107,9 @@ impl<P: Protocol> Sim<P> {
     /// holds the full application but only executes the ranks that
     /// `shard_of_rank` maps to `my_shard`; sends to other shards land in
     /// an outbox the shard hands over at window barriers. Runs of more
-    /// than one shard must be failure-free — the caller enforces this
-    /// before choosing the parallel path.
-    pub fn new_sharded(
+    /// than one shard must be failure-free — `run_sharded` enforces this
+    /// when it picks the shard count.
+    pub(crate) fn new_sharded(
         app: Application,
         config: SimConfig,
         protocol: P,
@@ -1256,14 +1208,16 @@ impl<P: Protocol> Sim<P> {
     /// Termination is by **drain** (DESIGN.md §2.8): the run completes
     /// when every rank is done *and* no hot (non-timer) event remains —
     /// post-completion arrivals and protocol acknowledgements are
-    /// processed, not abandoned, so serial and sharded runs agree on
+    /// processed, not abandoned, so one-shard and sharded runs agree on
     /// every counter. Timers popped after completion are discarded
     /// uncounted; timers remain live before completion (a timer can
     /// reopen a gate).
     ///
-    /// The run is the one-shard case of the lockstep loop: [`decide`]
-    /// over this shard's state with an unbounded lookahead, acted on by
-    /// [`Sim::act`] on this thread — no barrier, no window count.
+    /// This is the one-shard case of the run driver's lockstep loop
+    /// ([`crate::run_sharded`]): the lockstep decision over this shard's
+    /// state with an unbounded lookahead, acted on on this thread — no
+    /// barrier, no window count — and the report comes from the same
+    /// merge as a sharded run's.
     pub fn run_with_protocol(mut self) -> (RunReport, P) {
         self.shard_init();
         let unbounded = SimDuration::from_ps(u64::MAX);
@@ -1274,41 +1228,10 @@ impl<P: Protocol> Sim<P> {
                 decision => self.act(decision, 0),
             }
         };
-        let status = if limit_hit {
-            RunStatus::EventLimit
-        } else if self.core.all_done() {
-            RunStatus::Completed
-        } else {
-            RunStatus::Deadlock(self.diagnose().into_iter().map(|(_, d)| d).collect())
-        };
-        let makespan = self
-            .core
-            .ranks
-            .iter()
-            .map(|r| r.clock)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        self.core.metrics.makespan = makespan;
-        if self.core.recorder.is_some() {
-            let g = self.core.gauges();
-            if let Some(rec) = self.core.recorder.as_deref_mut() {
-                rec.on_run_end(makespan, &g);
-            }
-        }
-        (
-            RunReport {
-                status,
-                digests: self.core.ranks.iter().map(|r| r.app.digest).collect(),
-                inbox_leftover: self.core.ranks.iter().map(|r| r.inbox.len()).collect(),
-                makespan,
-                metrics: self.core.metrics,
-                trace: self.core.trace,
-                shards: 1,
-                barrier_rounds: 0,
-                pair_lookahead: Vec::new(),
-            },
-            self.protocol,
-        )
+        let shard_of_rank = self.core.shard.shard_of_rank.clone();
+        let (outcome, protocol) = self.shard_finish();
+        let report = merge(vec![outcome], &shard_of_rank, 0, Vec::new(), limit_hit);
+        (report, protocol)
     }
 
     /// Process one popped event. Every event of every run goes through
@@ -1423,24 +1346,24 @@ impl<P: Protocol> Sim<P> {
 
     // ---- shard driving API -------------------------------------------
     //
-    // A run of n shards (crates/par-sim) holds one `Sim` per shard,
-    // built with [`Sim::new_sharded`]. Every shard thread runs the same
-    // lockstep loop: inject the envelopes routed to it, publish its
-    // [`ShardState`], agree with its peers on one [`decide`] decision,
-    // [`Sim::act`] on it, and hand its outbox over. A serial run is the
-    // same loop with one shard (DESIGN.md §2.8).
+    // A run of n shards (`shards::run_sharded`) holds one `Sim` per
+    // shard, built with [`Sim::new_sharded`]. Every shard thread runs
+    // the same lockstep loop: inject the envelopes routed to it, publish
+    // its [`ShardState`], agree with its peers on one [`decide`]
+    // decision, [`Sim::act`] on it, and hand its outbox over. A one-shard
+    // run is the same loop with no barrier (DESIGN.md §2.8).
 
     /// Run the protocol's `init` hook. `run_sharded` calls this once per
     /// shard in ascending shard order, so shared-state mutations during
     /// init replay the one-shard run's order.
-    pub fn shard_init(&mut self) {
+    pub(crate) fn shard_init(&mut self) {
         self.protocol.init(&mut Ctx {
             core: &mut self.core,
         });
     }
 
     /// The shard's next event, hot backlog, completion and event count.
-    pub fn shard_state(&mut self) -> ShardState {
+    pub(crate) fn shard_state(&mut self) -> ShardState {
         ShardState {
             peek: self.core.sched.peek_keyed(),
             pending_hot: self.core.pending_hot,
@@ -1457,7 +1380,7 @@ impl<P: Protocol> Sim<P> {
     /// horizon, stopping early at a timer (timers are never run inside a
     /// window) or once this shard's own count passes `max_events`.
     /// `Stop` does nothing.
-    pub fn act(&mut self, decision: Decision, me: usize) {
+    pub(crate) fn act(&mut self, decision: Decision, me: usize) {
         match decision {
             Decision::Step { shard } if shard == me => {
                 self.process_next();
@@ -1503,33 +1426,39 @@ impl<P: Protocol> Sim<P> {
     }
 
     /// Drain the cross-shard sends produced since the last call.
-    pub fn shard_take_outbox(&mut self) -> Vec<RemoteEnvelope<P::Ctl>> {
+    pub(crate) fn shard_take_outbox(&mut self) -> Vec<RemoteEnvelope<P::Ctl>> {
         std::mem::take(&mut self.core.outbox)
     }
 
-    /// Insert flights routed here from other shards.
-    pub fn shard_inject(&mut self, envelopes: Vec<RemoteEnvelope<P::Ctl>>) {
+    /// Insert flights routed here from other shards. A routed arrival
+    /// is never before this shard's clock: `Core::insert_flight` asserts
+    /// the window invariant in debug builds.
+    pub(crate) fn shard_inject(&mut self, envelopes: Vec<RemoteEnvelope<P::Ctl>>) {
         for env in envelopes {
             self.core.insert_flight(env);
         }
     }
 
     /// Tear down this shard and extract everything the merge needs for
-    /// the one [`RunReport`]. Deliberately does *not* fire the recorder's
-    /// `on_run_end` — the merge fires it once globally.
-    pub fn shard_finish(mut self) -> ShardOutcome {
+    /// the one [`RunReport`], handing the protocol back. Deliberately
+    /// does *not* fire the recorder's `on_run_end` — the merge fires it
+    /// once for the whole run.
+    pub(crate) fn shard_finish(mut self) -> (ShardOutcome, P) {
         let done = self.core.all_done();
         let stuck = if done { Vec::new() } else { self.diagnose() };
-        ShardOutcome {
+        let outcome = ShardOutcome {
             digests: self.core.ranks.iter().map(|r| r.app.digest).collect(),
             inbox_leftover: self.core.ranks.iter().map(|r| r.inbox.len()).collect(),
             clocks: self.core.ranks.iter().map(|r| r.clock).collect(),
             done,
             stuck,
             log_timeline: self.core.log_timeline.take().unwrap_or_default(),
+            gauges: self.core.gauges(),
+            recorder: self.core.recorder.take(),
             metrics: self.core.metrics,
             trace: self.core.trace,
-        }
+        };
+        (outcome, self.protocol)
     }
 
     /// Per-stuck-rank diagnostics, keyed by rank id so a sharded run can

@@ -14,7 +14,12 @@
 //! * fail-stop failure injection (single and multiple concurrent),
 //! * built-in correctness oracles: every re-emitted or replayed message is
 //!   checked against its original identity, and per-rank state digests
-//!   expose any divergence from the failure-free execution.
+//!   expose any divergence from the failure-free execution,
+//! * one run driver, [`run_sharded`]: it runs the ranks on shards of
+//!   whole clusters that step in lockstep through conservative time
+//!   windows, and merges them into one [`RunReport`] bit-for-bit equal
+//!   to the one-shard run (DESIGN.md §2.8). The one-shard case is
+//!   [`Sim::run`] on the caller's thread.
 //!
 //! ```
 //! use mps_sim::prelude::*;
@@ -42,15 +47,13 @@ pub mod peer_map;
 pub mod policy;
 pub mod program;
 pub mod protocol;
+mod shards;
 pub mod trace;
 pub mod types;
 
 pub use app::{AppState, DetMode};
 pub use cluster::ClusterMap;
-pub use engine::{
-    decide, Ctx, Decision, InFlightMsg, LogDelta, RankSnapshot, RemoteEnvelope, RunReport,
-    RunStatus, ShardOutcome, ShardState, Sim, SimConfig,
-};
+pub use engine::{Ctx, InFlightMsg, RankSnapshot, RunReport, RunStatus, Sim, SimConfig};
 pub use failure::{
     Cascade, CorrelatedCluster, FailureEvent, FailureModel, FixedSchedule, PoissonPerRank,
 };
@@ -64,6 +67,7 @@ pub use program::{
     Application, GenProgram, Op, OpStream, OpTemplate, Program, RankProgram, UnrolledProgram,
 };
 pub use protocol::{NullProtocol, Protocol, SendAction, SendDirective, SendInfo};
+pub use shards::{effective_shards, run_sharded, ShardSlice};
 pub use trace::Trace;
 pub use types::{ChannelId, Endpoint, Message, PbMeta, Rank, Tag};
 // Observability layer (DESIGN.md §2.5): protocols and drivers attach
@@ -88,11 +92,13 @@ pub mod prelude {
 
 #[cfg(test)]
 mod tests {
-    //! The pure lockstep decision ([`decide`]), shard by shard.
+    //! The pure lockstep decision (`decide`), shard by shard, and the
+    //! driver's shard planning.
 
     use super::*;
     use det_sim::{SimDuration, SimTime};
     use engine::key;
+    use shards::{assign_shards, decide, Decision, ShardState};
 
     fn lookahead() -> SimDuration {
         SimDuration::from_ps(1_000)
@@ -230,5 +236,57 @@ mod tests {
         // Nothing is before the end of time: an event there steps.
         let states = [state(Some((u64::MAX, exec())), 1, false, 0)];
         assert_eq!(decide(&states, unbounded, 100), Decision::Step { shard: 0 });
+    }
+
+    #[test]
+    fn effective_shards_clamps_with_warning() {
+        assert_eq!(effective_shards(4, 8), (4, None));
+        assert_eq!(effective_shards(8, 8), (8, None));
+        let (n, warn) = effective_shards(16, 8);
+        assert_eq!(n, 8);
+        let warn = warn.expect("clamping warns");
+        assert!(warn.contains("16") && warn.contains("8"), "{warn}");
+        // Degenerate requests still produce a runnable plan.
+        assert_eq!(effective_shards(0, 8), (1, None));
+        let (n, warn) = effective_shards(3, 1);
+        assert_eq!(n, 1);
+        assert!(warn.is_some());
+    }
+
+    #[test]
+    fn assign_shards_is_contiguous_and_balanced() {
+        let map = ClusterMap::blocks(64, 16); // 16 clusters of 4
+        let (slices, sor) = assign_shards(&map, 4);
+        assert_eq!(slices.len(), 4);
+        // Contiguous cluster ranges covering everything exactly once.
+        let all: Vec<u32> = slices.iter().flat_map(|s| s.clusters.clone()).collect();
+        assert_eq!(all, (0..16).collect::<Vec<u32>>());
+        // Uniform clusters balance exactly.
+        for s in &slices {
+            assert_eq!(s.ranks, 16);
+        }
+        // The rank table matches the slices.
+        for slice in &slices {
+            for &c in &slice.clusters {
+                for &r in map.members(c) {
+                    assert_eq!(sor[r.idx()], slice.shard);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assign_shards_balances_uneven_clusters() {
+        // 3 clusters of 5,1,1 ranks over 2 shards: the greedy split puts
+        // the big cluster alone (5 >= ceil(7/2)) and the rest together.
+        let map = ClusterMap::new(vec![0, 0, 0, 0, 0, 1, 2]);
+        let (slices, _) = assign_shards(&map, 2);
+        assert_eq!(slices[0].clusters, vec![0]);
+        assert_eq!(slices[1].clusters, vec![1, 2]);
+        // Every shard owns at least one cluster even when early shards
+        // would gladly swallow everything.
+        let map = ClusterMap::new(vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3]);
+        let (slices, _) = assign_shards(&map, 4);
+        assert!(slices.iter().all(|s| !s.clusters.is_empty()));
     }
 }

@@ -1,72 +1,123 @@
-//! # par-sim — conservative cluster-sharded parallel simulation
+//! The run driver: conservative cluster-sharded simulation (DESIGN.md
+//! §2.8).
 //!
-//! A parallel front-end for the `mps-sim` engine (DESIGN.md §2.8):
-//! the rank space is partitioned into **shards of whole clusters**, each
-//! shard runs its own engine instance (event queue + scheduler) on its own
-//! thread, and the shards advance together through conservative **time
-//! windows** derived from the minimum cross-shard transit (the
-//! *lookahead*): `NetworkModel::min_transit` for size-only pricing, or —
-//! with a topology configured — the minimum over the link classes
-//! actually crossing each shard boundary, which is strictly larger on
-//! non-flat machines and buys fewer barrier rounds (DESIGN.md §2.9; the
-//! per-pair values are reported in `RunReport::pair_lookahead`).
-//!
-//! There is no coordinator thread and there are no null messages. Every
-//! shard runs the same **lockstep loop** on one [`std::sync::Barrier`]:
+//! Every run starts in [`run_sharded`] and ends in one `merge`. The
+//! driver picks the shard count (clamped to the cluster count; one shard
+//! whenever the failure model expects a failure) and runs one engine
+//! instance per shard of whole clusters. A one-shard run is
+//! [`Sim::run_with_protocol`] on the caller's thread: [`decide`] over its
+//! own state with an unbounded lookahead, no thread, no barrier. With n
+//! shards, n threads step the same **lockstep loop** on one
+//! [`std::sync::Barrier`], with no coordinator and no null messages:
 //!
 //! 1. inject the envelopes the other shards left in its per-pair slots;
-//! 2. publish its [`ShardState`] (next `(time, key)`, hot backlog,
-//!    completion, event count) and wait at the barrier;
-//! 3. read every shard's state and compute the same decision with the
-//!    pure function `mps_sim::decide`: stop, step one shard's head
-//!    event, discard one shard's head timer, or run a window
-//!    `[gmin, gmin + lookahead)` in parallel — no event in that window
-//!    can make anything arrive on another shard before the horizon,
-//!    because a message executed at `u ≥ gmin` arrives no earlier than
-//!    `u + lookahead`;
-//! 4. act on it with `Sim::act` (only the named shard acts on a step or
-//!    a discard), move its cross-shard sends into the slots of their
-//!    target shards (their arrival times were FIFO-adjusted on the
-//!    sending shard), and wait at the barrier again.
+//! 2. publish its [`ShardState`] and wait at the barrier;
+//! 3. compute the same decision from every shard's state with the pure
+//!    [`decide`]: stop, step or discard one shard's head event, or run
+//!    the window `[gmin, gmin + lookahead)` in parallel — a message sent
+//!    at `u ≥ gmin` arrives no earlier than `u + lookahead`, where the
+//!    lookahead is the minimum transit over the link classes crossing a
+//!    shard boundary (DESIGN.md §2.9);
+//! 4. act on it with `Sim::act`, move its cross-shard sends into the
+//!    slots of their target shards, and wait at the barrier again.
 //!
-//! **Timers are never run inside a window.** They are the one event class
-//! that touches state shared between shards (the storage-contention
-//! ledger, via checkpoint policies), so they execute one at a time in
-//! global `(time, key)` order — exactly a one-shard run's order. Window
-//! events commute across shards: they only touch shard-local state.
-//!
-//! A serial run is the same loop with one shard, run by
-//! `Sim::run_with_protocol` on the caller's thread with an unbounded
-//! lookahead and no barrier. The contract is **bit-for-bit equivalence**
-//! at every shard count: same digests, same metrics, same containment
-//! integers as the one-shard run, whose results the committed goldens
-//! pin. It holds because the scheduler orders events by content-derived
-//! keys — see `mps_sim::engine::key` — so the pop order of same-instant
-//! events does not depend on which engine instance scheduled them. Two
-//! deliberate exceptions, both documented in DESIGN.md §2.8: a window
-//! stops on its own shard's `max_events` count, so the shards together
-//! may pass the budget before the next decision stops the run, and the
-//! byte order of telemetry *trace files* depends on wall-clock
-//! interleaving (recorders observe, they never influence).
-//!
-//! A shard that panics records the barrier wait it is about to take in a
-//! shared abort slot and takes that one wait, which releases its peers;
-//! they see the slot and return, and `run_sharded` re-raises the
-//! lowest-numbered panicking shard's own payload.
-//!
-//! Sharded runs must be failure-free; the caller (`protocols::factory`)
-//! routes any run whose failure model expects failures to the serial
-//! engine.
+//! Timers, the one event class that touches state shared between shards
+//! (the storage ledger), never run inside a window: they are stepped one
+//! at a time in global `(time, key)` order, exactly the one-shard order.
+//! Content-derived scheduler keys ([`crate::engine::key`]) make the
+//! merged report bit-for-bit equal to the one-shard run's at every shard
+//! count. A panicking shard releases its peers through the abort slot,
+//! and `run_sharded` re-raises the lowest-numbered panicking shard's
+//! payload.
 
+use crate::cluster::ClusterMap;
+use crate::engine::{key, LogDelta, RemoteEnvelope, RunReport, RunStatus, ShardOutcome, Sim};
+use crate::failure::FailureModel;
+use crate::metrics::Metrics;
+use crate::program::Application;
+use crate::protocol::Protocol;
+use crate::types::Endpoint;
+use crate::SimConfig;
 use det_sim::{SimDuration, SimTime};
-use mps_sim::{
-    decide, Application, ClusterMap, Decision, Endpoint, Gauges, LogDelta, Metrics, Protocol,
-    Recorder, RecoveryPhase, RemoteEnvelope, RunReport, RunStatus, ShardOutcome, ShardState, Sim,
-    SimConfig, StorageDir,
-};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use telemetry::{Gauges, Recorder, RecoveryPhase, StorageDir};
+
+// ---------------------------------------------------------------------------
+// Decision
+// ---------------------------------------------------------------------------
+
+/// What the lockstep loop reads from one shard before every decision:
+/// the inputs of [`decide`]. Returned by `Sim::shard_state`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ShardState {
+    /// `(time, key)` of the shard's next live event, if any.
+    pub peek: Option<(SimTime, u64)>,
+    /// Live non-timer events in the shard's queue.
+    pub pending_hot: u64,
+    /// Have all ranks the shard owns finished?
+    pub done: bool,
+    /// Events the shard has processed so far.
+    pub events: u64,
+}
+
+/// What every shard does next. All shards compute it from the same state
+/// table, so they agree without a coordinator; `Sim::act` carries it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Decision {
+    /// End the run; `limit_hit` when the `max_events` budget ran out.
+    Stop { limit_hit: bool },
+    /// `shard` pops and processes its head event alone.
+    Step { shard: usize },
+    /// `shard` drops its head timer uncounted.
+    DiscardTimer { shard: usize },
+    /// Every shard processes its events strictly before the horizon.
+    Window(SimTime),
+}
+
+/// The one drain decision of a run, from every shard's state. A
+/// one-shard run passes an unbounded `lookahead`: its windows end only
+/// at timers.
+pub(crate) fn decide(states: &[ShardState], lookahead: SimDuration, max_events: u64) -> Decision {
+    // Global `max_events` budget. Every shard also stops its window once
+    // its own count passes the budget, so one shard stops exactly.
+    if states.iter().map(|st| st.events).sum::<u64>() > max_events {
+        return Decision::Stop { limit_hit: true };
+    }
+    let all_done = states.iter().all(|st| st.done);
+    if all_done && states.iter().all(|st| st.pending_hot == 0) {
+        return Decision::Stop { limit_hit: false }; // leftover timers are moot
+    }
+    // Global minimum (time, key). Cross-shard (time, key) pairs are
+    // distinct by construction (content-derived keys); ties would go to
+    // the lower shard.
+    let Some(((tmin, kmin), shard)) = states
+        .iter()
+        .enumerate()
+        .filter_map(|(s, st)| st.peek.map(|tk| (tk, s)))
+        .min()
+    else {
+        return Decision::Stop { limit_hit: false }; // deadlock
+    };
+    if key::class(kmin) == key::CLASS_TIMER {
+        // Timers mutate shared state: one at a time in global (time, key)
+        // order. Once every rank is done they are discarded uncounted.
+        return if all_done {
+            Decision::DiscardTimer { shard }
+        } else {
+            Decision::Step { shard }
+        };
+    }
+    // Saturating: an unbounded lookahead must not wrap past `tmin`.
+    let horizon = SimTime::from_ps(tmin.as_ps().saturating_add(lookahead.as_ps()));
+    if horizon <= tmin {
+        // Zero lookahead (or an event at the end of time): step the
+        // globally next event.
+        return Decision::Step { shard };
+    }
+    Decision::Window(horizon)
+}
 
 // ---------------------------------------------------------------------------
 // Shard planning
@@ -92,6 +143,17 @@ pub fn effective_shards(requested: usize, n_clusters: usize) -> (usize, Option<S
     }
 }
 
+/// The driver's shard-count rule: [`effective_shards`], except that a
+/// run whose failure model expects any failure over the whole
+/// representable horizon runs on one shard (recovery is cross-cluster
+/// by construction).
+fn shard_count(requested: usize, n_clusters: usize, failures: &dyn FailureModel) -> usize {
+    if failures.expected_failures(SimTime::MAX) != 0.0 {
+        return 1;
+    }
+    effective_shards(requested, n_clusters).0
+}
+
 /// One shard's slice of the machine: a contiguous range of cluster ids.
 #[derive(Debug, Clone)]
 pub struct ShardSlice {
@@ -108,7 +170,10 @@ pub struct ShardSlice {
 /// remaining shard). Deterministic in the cluster map alone.
 ///
 /// Returns the slices plus the rank → shard table the engines route on.
-pub fn assign_shards(clusters: &ClusterMap, n_shards: usize) -> (Vec<ShardSlice>, Arc<Vec<u32>>) {
+pub(crate) fn assign_shards(
+    clusters: &ClusterMap,
+    n_shards: usize,
+) -> (Vec<ShardSlice>, Arc<Vec<u32>>) {
     let n_clusters = clusters.n_clusters();
     assert!(
         (1..=n_clusters).contains(&n_shards),
@@ -158,19 +223,14 @@ pub fn assign_shards(clusters: &ClusterMap, n_shards: usize) -> (Vec<ShardSlice>
 // Shared recorder
 // ---------------------------------------------------------------------------
 
-/// Fan-in wrapper giving every shard the same underlying [`Recorder`].
-/// Calls are serialized by the mutex; their interleaving *across shards
-/// inside one window* follows wall-clock scheduling, which is why sharded
-/// trace files are not byte-stable (DESIGN.md §2.8). Virtual timestamps
-/// in the events are exact either way.
+/// Fan-in wrapper giving every shard of a run of two or more the same
+/// underlying [`Recorder`]. Calls are serialized by the mutex; their
+/// interleaving *across shards inside one window* follows wall-clock
+/// scheduling, which is why sharded trace files are not byte-stable
+/// (DESIGN.md §2.8). Virtual timestamps in the events are exact either
+/// way.
 #[derive(Clone)]
-pub struct SharedRecorder(Arc<Mutex<Box<dyn Recorder>>>);
-
-impl SharedRecorder {
-    pub fn new(inner: Box<dyn Recorder>) -> Self {
-        SharedRecorder(Arc::new(Mutex::new(inner)))
-    }
-}
+struct SharedRecorder(Arc<Mutex<Box<dyn Recorder>>>);
 
 impl Recorder for SharedRecorder {
     fn on_tick(&mut self, now: SimTime, gauges: &Gauges) {
@@ -272,7 +332,7 @@ impl<C> Lockstep<C> {
     ) -> Option<(ShardOutcome, u64, bool)> {
         let mut waits = 0;
         match catch_unwind(AssertUnwindSafe(|| self.turns(&mut sim, me, &mut waits))) {
-            Ok(Some((rounds, limit_hit))) => Some((sim.shard_finish(), rounds, limit_hit)),
+            Ok(Some((rounds, limit_hit))) => Some((sim.shard_finish().0, rounds, limit_hit)),
             Ok(None) => None,
             Err(payload) => {
                 self.abort_at.fetch_min(waits + 1, Ordering::Relaxed);
@@ -330,25 +390,28 @@ impl<C> Lockstep<C> {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded run
+// Driver
 // ---------------------------------------------------------------------------
 
-/// Run `app` under `protocol` instances sharded over `n_shards` shard
-/// threads, merging into one [`RunReport`] bit-for-bit equal (digests,
-/// metrics, containment integers) to the serial engine's.
+/// Run `app` to completion under `failures` on as many cluster shards
+/// as the driver's shard-count rule allows for the `shards` requested,
+/// and merge the shards into one [`RunReport`]
+/// bit-for-bit equal (digests, metrics, containment integers) to the
+/// one-shard run's.
 ///
 /// `make_protocol` is called once per shard, ascending, with the shard's
 /// slice; protocols that hold cross-cluster shared state take it shared
 /// here (e.g. `Hydee::sharded` with one storage ledger behind a mutex).
-/// The run must be failure-free — inject no failures and expect none from
-/// a model; the caller enforces this before choosing the parallel path.
+/// The recorder, if any, observes the whole run and sees one
+/// `on_run_end`.
 pub fn run_sharded<P, F>(
     app: Application,
-    config: SimConfig,
+    mut config: SimConfig,
     clusters: &ClusterMap,
-    n_shards: usize,
-    mut make_protocol: F,
+    shards: usize,
+    failures: Box<dyn FailureModel>,
     recorder: Option<Box<dyn Recorder>>,
+    mut make_protocol: F,
 ) -> RunReport
 where
     P: Protocol + Send,
@@ -356,12 +419,28 @@ where
     F: FnMut(&ShardSlice) -> P,
 {
     assert_eq!(clusters.n_ranks(), app.n_ranks());
-    let (slices, shard_of_rank) = assign_shards(clusters, n_shards);
-    let shared_rec = recorder.map(SharedRecorder::new);
+    let n = shard_count(shards, clusters.n_clusters(), &*failures);
+    // Resolve the topology once; every shard prices through this copy.
+    let topology = config.resolved_topology(app.n_ranks());
+    config.topology = Some(topology.clone());
+    let (slices, shard_of_rank) = assign_shards(clusters, n);
+
+    if n == 1 {
+        let protocol = make_protocol(&slices[0]);
+        let mut sim = Sim::new_sharded(app, config, protocol, shard_of_rank, 0);
+        sim.set_failure_model(failures);
+        if let Some(recorder) = recorder {
+            sim.set_recorder(recorder);
+        }
+        return sim.run();
+    }
+    // The shard-count rule only shards runs that expect no failures.
+    drop(failures);
+    let shared_rec = recorder.map(|rec| SharedRecorder(Arc::new(Mutex::new(rec))));
 
     // Build every shard on this thread, then run `init` in ascending
-    // shard order: shared-state mutations during init replay the serial
-    // engine's cluster order.
+    // shard order: shared-state mutations during init replay the
+    // one-shard run's cluster order.
     let mut sims: Vec<Sim<P>> = slices
         .iter()
         .map(|slice| {
@@ -384,44 +463,43 @@ where
 
     // Conservative lookahead. Shards are unions of whole clusters, so
     // every cross-shard message crosses a cluster boundary; with a
-    // non-flat topology its transit is bounded below by the link class
-    // of the (sender cluster, receiver cluster) pair, not by the global
+    // tiered topology its transit is bounded below by the link class of
+    // the (sender cluster, receiver cluster) pair, not by the global
     // scalar minimum. The horizon therefore widens to the minimum over
     // the link classes *actually crossing shard boundaries* — strictly
-    // larger than the legacy scalar whenever the topology distinguishes
+    // larger than the scalar whenever the topology distinguishes
     // inter-cluster links, hence tighter windows and fewer barrier
-    // rounds (DESIGN.md §2.9). Flat topologies (one class) and the
-    // no-topology path keep the v6 scalar and report no pairs.
-    let (lookahead, pair_lookahead) = match config.topology.as_deref() {
-        Some(topo) if topo.n_classes() > 1 => {
-            let mut pairs: Vec<(u32, u32, SimDuration)> = Vec::new();
-            for i in 0..slices.len() {
-                for j in (i + 1)..slices.len() {
-                    let pmin = slices[i]
-                        .clusters
-                        .iter()
-                        .flat_map(|&a| {
-                            slices[j]
-                                .clusters
-                                .iter()
-                                .map(move |&b| topo.cluster_min_transit(a, b))
-                        })
-                        .min();
-                    if let Some(t) = pmin {
-                        pairs.push((slices[i].shard, slices[j].shard, t));
-                    }
+    // rounds (DESIGN.md §2.9). A flat topology (one class) keeps the
+    // scalar and reports no pairs.
+    let (lookahead, pair_lookahead) = if topology.n_classes() > 1 {
+        let topo = &*topology;
+        let mut pairs: Vec<(u32, u32, SimDuration)> = Vec::new();
+        for i in 0..slices.len() {
+            for j in (i + 1)..slices.len() {
+                let pmin = slices[i]
+                    .clusters
+                    .iter()
+                    .flat_map(|&a| {
+                        slices[j]
+                            .clusters
+                            .iter()
+                            .map(move |&b| topo.cluster_min_transit(a, b))
+                    })
+                    .min();
+                if let Some(t) = pmin {
+                    pairs.push((slices[i].shard, slices[j].shard, t));
                 }
             }
-            let lookahead = pairs
-                .iter()
-                .map(|&(_, _, t)| t)
-                .min()
-                .unwrap_or_else(|| config.network.min_transit());
-            (lookahead, pairs)
         }
-        _ => (config.network.min_transit(), Vec::new()),
+        let lookahead = pairs
+            .iter()
+            .map(|&(_, _, t)| t)
+            .min()
+            .unwrap_or_else(|| config.network.min_transit());
+        (lookahead, pairs)
+    } else {
+        (config.network.min_transit(), Vec::new())
     };
-    let n = sims.len();
     let lockstep = Lockstep {
         barrier: Barrier::new(n),
         states: (0..n).map(|_| Mutex::default()).collect(),
@@ -457,15 +535,12 @@ where
             Err(payload) => resume_unwind(payload),
         }
     }
-
     merge(
         outcomes,
         &shard_of_rank,
-        n as u32,
         barrier_rounds,
         pair_lookahead,
         limit_hit,
-        shared_rec,
     )
 }
 
@@ -473,36 +548,31 @@ where
 // Merge
 // ---------------------------------------------------------------------------
 
-/// Fan shard outcomes into one [`RunReport`] equal to the serial one.
+/// Fan shard outcomes into the run's one [`RunReport`], and fire the
+/// recorder's one `on_run_end` with the shards' live gauges summed.
 /// Per-rank vectors pick the owner shard's entry; counters sum;
 /// `logged_bytes_peak` is replayed from the merged mutation journal
 /// (a running-max over *global* order that per-shard counters cannot
 /// recover); the trace is a disjoint union.
-fn merge(
-    outcomes: Vec<ShardOutcome>,
+pub(crate) fn merge(
+    mut outcomes: Vec<ShardOutcome>,
     shard_of_rank: &[u32],
-    shards: u32,
     barrier_rounds: u64,
     pair_lookahead: Vec<(u32, u32, SimDuration)>,
     limit_hit: bool,
-    shared_rec: Option<SharedRecorder>,
 ) -> RunReport {
+    let shards = outcomes.len() as u32;
     let n_ranks = shard_of_rank.len();
-    let pick = |f: &dyn Fn(&ShardOutcome, usize) -> u64| -> Vec<u64> {
-        (0..n_ranks)
-            .map(|i| f(&outcomes[shard_of_rank[i] as usize], i))
-            .collect()
-    };
-    let digests = pick(&|o, i| o.digests[i]);
-    let inbox_leftover: Vec<usize> = (0..n_ranks)
-        .map(|i| outcomes[shard_of_rank[i] as usize].inbox_leftover[i])
-        .collect();
+    let owner = |i: usize| &outcomes[shard_of_rank[i] as usize];
+    let digests: Vec<u64> = (0..n_ranks).map(|i| owner(i).digests[i]).collect();
+    let inbox_leftover: Vec<usize> = (0..n_ranks).map(|i| owner(i).inbox_leftover[i]).collect();
     let makespan = (0..n_ranks)
-        .map(|i| outcomes[shard_of_rank[i] as usize].clocks[i])
+        .map(|i| owner(i).clocks[i])
         .max()
         .unwrap_or(SimTime::ZERO);
 
     let mut metrics = Metrics::default();
+    let mut gauges = Gauges::default();
     for o in &outcomes {
         let m = &o.metrics;
         metrics.app_messages += m.app_messages;
@@ -528,6 +598,14 @@ fn merge(
         metrics.replayed_messages += m.replayed_messages;
         metrics.replayed_bytes += m.replayed_bytes;
         metrics.recovery_time += m.recovery_time;
+        let g = &o.gauges;
+        gauges.events += g.events;
+        gauges.queue_depth += g.queue_depth;
+        gauges.inflight_msgs += g.inflight_msgs;
+        gauges.logged_bytes += g.logged_bytes;
+        gauges.deliveries += g.deliveries;
+        gauges.checkpoint_time_ps += g.checkpoint_time_ps;
+        gauges.lost_work_ps += g.lost_work_ps;
     }
     metrics.makespan = makespan;
     metrics.logged_bytes_peak = match &outcomes[..] {
@@ -546,6 +624,12 @@ fn merge(
         RunStatus::Deadlock(stuck.into_iter().map(|(_, d)| d).collect())
     };
 
+    // Every shard of a sharded run holds a handle on the same recorder:
+    // the first one fires the run's one `on_run_end`.
+    if let Some(mut rec) = outcomes.iter_mut().find_map(|o| o.recorder.take()) {
+        rec.on_run_end(makespan, &gauges);
+    }
+
     // Consumes `outcomes`, so everything that reads them comes first:
     // moving the traces keeps one copy of each shard's oracle resident.
     let trace = outcomes
@@ -556,22 +640,6 @@ fn merge(
             t
         })
         .expect("at least one shard");
-
-    // One global `on_run_end`, with gauges synthesized from the merged
-    // metrics (the live queue/inflight gauges are per-shard notions that
-    // are all zero-or-moot once the run has drained).
-    if let Some(mut rec) = shared_rec {
-        let gauges = Gauges {
-            events: metrics.events,
-            queue_depth: 0,
-            inflight_msgs: 0,
-            logged_bytes: metrics.logged_bytes,
-            deliveries: metrics.deliveries,
-            checkpoint_time_ps: metrics.checkpoint_time.as_ps(),
-            lost_work_ps: metrics.lost_work.as_ps(),
-        };
-        rec.on_run_end(makespan, &gauges);
-    }
 
     RunReport {
         status,
@@ -588,7 +656,7 @@ fn merge(
 
 /// Replay every shard's sender-log mutation journal in merged global
 /// `(time, event key, intra-event index)` order, tracking the running
-/// total's maximum — the serial `logged_bytes_peak`.
+/// total's maximum — the one-shard `logged_bytes_peak`.
 fn replay_log_peak(outcomes: &[ShardOutcome]) -> u64 {
     let mut deltas: Vec<LogDelta> = outcomes
         .iter()
@@ -605,62 +673,4 @@ fn replay_log_peak(outcomes: &[ShardOutcome]) -> u64 {
     }
     debug_assert!(level >= 0);
     peak.max(0) as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mps_sim::ClusterMap;
-
-    #[test]
-    fn effective_shards_clamps_with_warning() {
-        assert_eq!(effective_shards(4, 8), (4, None));
-        assert_eq!(effective_shards(8, 8), (8, None));
-        let (n, warn) = effective_shards(16, 8);
-        assert_eq!(n, 8);
-        let warn = warn.expect("clamping warns");
-        assert!(warn.contains("16") && warn.contains("8"), "{warn}");
-        // Degenerate requests still produce a runnable plan.
-        assert_eq!(effective_shards(0, 8), (1, None));
-        let (n, warn) = effective_shards(3, 1);
-        assert_eq!(n, 1);
-        assert!(warn.is_some());
-    }
-
-    #[test]
-    fn assign_shards_is_contiguous_and_balanced() {
-        let map = ClusterMap::blocks(64, 16); // 16 clusters of 4
-        let (slices, sor) = assign_shards(&map, 4);
-        assert_eq!(slices.len(), 4);
-        // Contiguous cluster ranges covering everything exactly once.
-        let all: Vec<u32> = slices.iter().flat_map(|s| s.clusters.clone()).collect();
-        assert_eq!(all, (0..16).collect::<Vec<u32>>());
-        // Uniform clusters balance exactly.
-        for s in &slices {
-            assert_eq!(s.ranks, 16);
-        }
-        // The rank table matches the slices.
-        for slice in &slices {
-            for &c in &slice.clusters {
-                for &r in map.members(c) {
-                    assert_eq!(sor[r.idx()], slice.shard);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn assign_shards_balances_uneven_clusters() {
-        // 3 clusters of 5,1,1 ranks over 2 shards: the greedy split puts
-        // the big cluster alone (5 >= ceil(7/2)) and the rest together.
-        let map = ClusterMap::new(vec![0, 0, 0, 0, 0, 1, 2]);
-        let (slices, _) = assign_shards(&map, 2);
-        assert_eq!(slices[0].clusters, vec![0]);
-        assert_eq!(slices[1].clusters, vec![1, 2]);
-        // Every shard owns at least one cluster even when early shards
-        // would gladly swallow everything.
-        let map = ClusterMap::new(vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3]);
-        let (slices, _) = assign_shards(&map, 4);
-        assert!(slices.iter().all(|s| !s.clusters.is_empty()));
-    }
 }

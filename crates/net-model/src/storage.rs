@@ -17,6 +17,7 @@
 //!   divisor: overlapping batches queue on the shared aggregate pipe,
 //!   non-overlapping batches each see full bandwidth.
 
+use crate::topology::Topology;
 use det_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -162,6 +163,14 @@ impl StorageLedger {
         self.drain_latency = latency;
         self.drain_ps_per_byte = ps_per_byte;
         self
+    }
+
+    /// Route this ledger's batches through `topology`'s drain path: its
+    /// [`Topology::drain_surcharge`], which is a no-op on a flat
+    /// topology.
+    pub fn draining_through(self, topology: &Topology) -> Self {
+        let (latency, ps_per_byte) = topology.drain_surcharge();
+        self.with_drain_surcharge(latency, ps_per_byte)
     }
 
     /// The active drain surcharge `(per-batch latency, ps per byte)`.

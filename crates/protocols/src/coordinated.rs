@@ -11,7 +11,7 @@ use mps_sim::{
     CheckpointPolicy, CheckpointPolicyConfig, Ctx, InFlightMsg, PolicyObs, Protocol, Rank,
     RankSnapshot,
 };
-use net_model::{StableStorage, StorageLedger};
+use net_model::{StableStorage, StorageLedger, Topology};
 
 /// Configuration for [`GlobalCoordinated`].
 #[derive(Debug, Clone)]
@@ -106,12 +106,12 @@ impl GlobalCoordinated {
         }
     }
 
-    /// Route the storage ledger through an interconnect drain path
+    /// Route the storage ledger through `topology`'s drain path
     /// (DESIGN.md §2.9): the machine-wide checkpoint burst pays the
     /// topology's widest link class on its way to stable storage. A
-    /// `(ZERO, 0)` surcharge is a no-op. Call before the run starts.
-    pub fn set_drain_surcharge(&mut self, latency: SimDuration, ps_per_byte: u64) {
-        self.ledger = self.ledger.with_drain_surcharge(latency, ps_per_byte);
+    /// no-op on a flat topology. Call before the run starts.
+    pub fn drain_through(&mut self, topology: &Topology) {
+        self.ledger = self.ledger.draining_through(topology);
     }
 
     fn obs(&self, ctx: &Ctx<'_, ()>) -> PolicyObs {

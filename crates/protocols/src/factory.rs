@@ -5,8 +5,9 @@
 //! drivers could not hold "some protocol" and run it. A
 //! [`ProtocolFactory`] closes that gap: it owns the protocol's
 //! configuration, and `run` instantiates the concrete protocol for a
-//! [`RunRequest`] and drives one simulation to completion — erasing the
-//! protocol type right after the monomorphic `Sim::run` call.
+//! [`RunRequest`] and drives one simulation to completion through the
+//! one run driver, [`mps_sim::run_sharded`] — erasing the protocol type
+//! right after that monomorphic call.
 //!
 //! A [`RunRequest`] bundles everything one run needs — the application,
 //! engine configuration, cluster map and a [`FailureModel`] — behind a
@@ -25,10 +26,9 @@ use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
     Application, CheckpointPolicyConfig, ClusterMap, FailureModel, FixedSchedule, NullProtocol,
-    Protocol, Recorder, RunReport, Sim, SimConfig,
+    Protocol, Recorder, RunReport, ShardSlice, SimConfig,
 };
 use net_model::{StableStorage, StorageLedger};
-use par_sim::ShardSlice;
 use std::sync::{Arc, Mutex};
 
 pub use mps_sim::FailureEvent;
@@ -65,12 +65,13 @@ pub struct RunRequest {
     /// Telemetry recorder attached to the run (DESIGN.md §2.5); `None`
     /// (the default) costs one branch per instrumentation point.
     pub recorder: Option<Box<dyn Recorder>>,
-    /// Parallel-engine shard count (DESIGN.md §2.8). `1` (the default)
-    /// runs the serial engine. Higher values run the `par-sim`
-    /// cluster-sharded engine when the run qualifies: counts above the
-    /// cluster count are clamped, and a run whose failure model expects
-    /// any failures falls back to serial (recovery is cross-cluster by
-    /// construction). Either way the results are bit-for-bit identical.
+    /// Shards requested from the run driver, [`mps_sim::run_sharded`]
+    /// (DESIGN.md §2.8). `1` (the default) runs on the caller's thread.
+    /// Higher values run that many cluster shards in lockstep, with the
+    /// driver's shard-count rule applied: counts above the cluster count
+    /// are clamped, and a run whose failure model expects any failures
+    /// runs on one shard (recovery is cross-cluster by construction).
+    /// Either way the results are bit-for-bit identical.
     pub shards: usize,
 }
 
@@ -120,43 +121,12 @@ impl RunRequest {
         self
     }
 
-    /// Request the parallel engine with `n` cluster shards (see the
-    /// field docs for when the request downgrades to serial).
+    /// Request `n` cluster shards (see the field docs for the driver's
+    /// shard-count rule).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
     }
-}
-
-/// Decide the parallel path for a request: `Some(effective shard
-/// count)` when more than one shard was requested, the failure model
-/// expects no failures over the whole representable horizon, and the
-/// cluster map supports at least two shards.
-fn parallel_shards(req: &RunRequest) -> Option<usize> {
-    if req.shards <= 1 {
-        return None;
-    }
-    if req
-        .failure_model
-        .expected_failures(SimTime::from_ps(u64::MAX))
-        != 0.0
-    {
-        return None;
-    }
-    let (n, _) = par_sim::effective_shards(req.shards, req.clusters.n_clusters());
-    (n > 1).then_some(n)
-}
-
-/// Checkpoint-drain surcharge for the request's topology: storage
-/// batches cross the topology's widest link class on their way to the
-/// storage tier (DESIGN.md §2.9). `(ZERO, 0)` — a no-op on the ledger —
-/// for flat topologies and topology-less requests.
-fn drain_surcharge(req: &RunRequest) -> (SimDuration, u64) {
-    req.sim_config
-        .topology
-        .as_deref()
-        .map(|t| t.drain_surcharge())
-        .unwrap_or((SimDuration::ZERO, 0))
 }
 
 /// Runtime-interchangeable protocol constructor/runner (object-safe).
@@ -169,9 +139,10 @@ pub trait ProtocolFactory: Send + Sync {
     fn run(&self, req: RunRequest) -> RunReport;
 }
 
-/// Run the request on `n` cluster shards, `make_protocol` building each
-/// shard's protocol from the request's cluster map and the shard's slice.
-fn run_parallel<P, F>(req: RunRequest, n: usize, mut make_protocol: F) -> RunReport
+/// Run the request through the one run driver, `make_protocol` building
+/// each shard's protocol from the request's cluster map and the shard's
+/// slice.
+fn run<P, F>(req: RunRequest, mut make_protocol: F) -> RunReport
 where
     P: Protocol + Send,
     P::Ctl: Send,
@@ -181,35 +152,32 @@ where
         app,
         sim_config,
         clusters,
+        failure_model,
         recorder,
-        ..
+        shards,
     } = req;
-    let make = |slice: &ShardSlice| make_protocol(&clusters, slice);
-    par_sim::run_sharded(app, sim_config, &clusters, n, make, recorder)
+    mps_sim::run_sharded(
+        app,
+        sim_config,
+        &clusters,
+        shards,
+        failure_model,
+        recorder,
+        |slice| make_protocol(&clusters, slice),
+    )
 }
 
-/// One storage ledger shared by all shard-local HydEE copies: stable
-/// storage is the only machine-global resource, and the sharded engine
-/// sequences every timer (= every policy consultation) in global order,
-/// so sharing it is safe.
-fn shared_ledger(
-    params: &HydeeParams,
-    clusters: &ClusterMap,
-    (drain_lat, drain_pb): (SimDuration, u64),
-) -> Arc<Mutex<StorageLedger>> {
+/// One storage ledger shared by all shard-local HydEE copies, behind the
+/// storage drain path of the request's topology (DESIGN.md §2.9): stable
+/// storage is the only machine-global resource, and the driver sequences
+/// every timer (= every policy consultation) in global order, so sharing
+/// it is safe.
+fn shared_ledger(params: &HydeeParams, req: &RunRequest) -> Arc<Mutex<StorageLedger>> {
+    let topology = req.sim_config.resolved_topology(req.app.n_ranks());
     Arc::new(Mutex::new(
-        StorageLedger::new(params.config_for(clusters.clone()).storage)
-            .with_drain_surcharge(drain_lat, drain_pb),
+        StorageLedger::new(params.config_for(req.clusters.clone()).storage)
+            .draining_through(&topology),
     ))
-}
-
-fn run_sim<P: Protocol>(req: RunRequest, protocol: P) -> RunReport {
-    let mut sim = Sim::new(req.app, req.sim_config, protocol);
-    sim.set_failure_model(req.failure_model);
-    if let Some(recorder) = req.recorder {
-        sim.set_recorder(recorder);
-    }
-    sim.run()
 }
 
 /// Native MPICH2: no fault tolerance (ignores the cluster map).
@@ -222,10 +190,7 @@ impl ProtocolFactory for NativeFactory {
     }
 
     fn run(&self, req: RunRequest) -> RunReport {
-        if let Some(n) = parallel_shards(&req) {
-            return run_parallel(req, n, |_, _| NullProtocol);
-        }
-        run_sim(req, NullProtocol)
+        run(req, |_, _| NullProtocol)
     }
 }
 
@@ -289,20 +254,14 @@ impl ProtocolFactory for HydeeFactory {
     }
 
     fn run(&self, req: RunRequest) -> RunReport {
-        let (drain_lat, drain_pb) = drain_surcharge(&req);
-        if let Some(n) = parallel_shards(&req) {
-            let ledger = shared_ledger(&self.params, &req.clusters, (drain_lat, drain_pb));
-            return run_parallel(req, n, |clusters, slice| {
-                Hydee::sharded(
-                    self.params.config_for(clusters.clone()),
-                    ledger.clone(),
-                    slice.clusters.clone(),
-                )
-            });
-        }
-        let mut protocol = Hydee::new(self.params.config_for(req.clusters.clone()));
-        protocol.set_drain_surcharge(drain_lat, drain_pb);
-        run_sim(req, protocol)
+        let ledger = shared_ledger(&self.params, &req);
+        run(req, |clusters, slice| {
+            Hydee::sharded(
+                self.params.config_for(clusters.clone()),
+                ledger.clone(),
+                slice.clusters.clone(),
+            )
+        })
     }
 }
 
@@ -325,13 +284,15 @@ impl ProtocolFactory for CoordinatedFactory {
     }
 
     fn run(&self, req: RunRequest) -> RunReport {
-        // Always serial: the coordinated protocol's "cluster" is the
+        // Always one shard: the coordinated protocol's "cluster" is the
         // whole machine and it owns a private storage ledger, so there
         // is no shard decomposition to exploit.
-        let (drain_lat, drain_pb) = drain_surcharge(&req);
-        let mut protocol = GlobalCoordinated::new(self.config.clone());
-        protocol.set_drain_surcharge(drain_lat, drain_pb);
-        run_sim(req, protocol)
+        let topology = req.sim_config.resolved_topology(req.app.n_ranks());
+        run(req.shards(1), |_, _| {
+            let mut protocol = GlobalCoordinated::new(self.config.clone());
+            protocol.drain_through(&topology);
+            protocol
+        })
     }
 }
 
@@ -356,26 +317,20 @@ impl ProtocolFactory for EventLoggedFactory {
     }
 
     fn run(&self, req: RunRequest) -> RunReport {
-        let (drain_lat, drain_pb) = drain_surcharge(&req);
-        if let Some(n) = parallel_shards(&req) {
-            let ledger = shared_ledger(&self.params, &req.clusters, (drain_lat, drain_pb));
-            return run_parallel(req, n, |clusters, slice| {
-                // The determinant wrapper holds only shard-local state (a
-                // counter and per-delivery charges), so it shards by
-                // wrapping the sharded inner protocol.
-                EventLogged::new(
-                    Hydee::sharded(
-                        self.params.config_for(clusters.clone()),
-                        ledger.clone(),
-                        slice.clusters.clone(),
-                    ),
-                    self.cost,
-                )
-            });
-        }
-        let mut inner = Hydee::new(self.params.config_for(req.clusters.clone()));
-        inner.set_drain_surcharge(drain_lat, drain_pb);
-        run_sim(req, EventLogged::new(inner, self.cost))
+        let ledger = shared_ledger(&self.params, &req);
+        run(req, |clusters, slice| {
+            // The determinant wrapper holds only shard-local state (a
+            // counter and per-delivery charges), so it shards by wrapping
+            // the sharded inner protocol.
+            EventLogged::new(
+                Hydee::sharded(
+                    self.params.config_for(clusters.clone()),
+                    ledger.clone(),
+                    slice.clusters.clone(),
+                ),
+                self.cost,
+            )
+        })
     }
 }
 
@@ -450,7 +405,7 @@ mod tests {
 
     /// The `shards` knob must be transparent: every factory that
     /// accepts it returns a bit-identical report, and runs that cannot
-    /// shard (failure models, single cluster) silently stay serial.
+    /// shard (failure models, single cluster) run on one shard.
     #[test]
     fn sharded_requests_match_serial_per_factory() {
         let mut app = Application::new(8);
@@ -485,8 +440,8 @@ mod tests {
         }
     }
 
-    /// A failure model with nonzero expectation forces the serial
-    /// engine even when shards were requested — and still completes.
+    /// A failure model with nonzero expectation runs on one shard even
+    /// when shards were requested — and still completes.
     #[test]
     fn failure_runs_fall_back_to_serial() {
         let f = HydeeFactory::new(HydeeParams {
@@ -504,10 +459,10 @@ mod tests {
                 PoissonPerRank::new(4, SimDuration::from_ms(2), 7).with_max_failures(1),
             ))
             .shards(4);
-        assert!(parallel_shards(&req).is_none());
         let report = f.run(req);
         assert!(report.completed(), "{:?}", report.status);
-        assert_eq!(report.shards, 1, "fell back to the serial engine");
+        assert_eq!(report.shards, 1, "ran on one shard");
+        assert_eq!(report.barrier_rounds, 0);
     }
 
     #[test]

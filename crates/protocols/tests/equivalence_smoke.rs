@@ -1,18 +1,16 @@
-//! Serial-vs-sharded equivalence at the engine level (DESIGN.md §2.8):
-//! the serial `mps_sim` engine is the oracle, and the merged parallel
-//! report must match it bit-for-bit on everything deterministic —
-//! digests, every metrics counter, makespan, status. The full
-//! cross-protocol matrix lives in `crates/protocols/tests`; this smoke
-//! keeps the contract testable from inside the engine pair alone.
+//! One-shard-vs-sharded equivalence through the run driver (DESIGN.md
+//! §2.8): `Sim::run` is the oracle, and the report `mps_sim::run_sharded`
+//! merges from any shard count must match it bit-for-bit on everything
+//! deterministic — digests, every metrics counter, makespan, status.
 
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
-    Application, CheckpointPolicyConfig, ClusterMap, NullProtocol, RunReport, RunStatus, Sim,
-    SimConfig,
+    run_sharded, Application, CheckpointPolicyConfig, ClusterMap, FailureModel, FixedSchedule,
+    NullProtocol, PoissonPerRank, RunReport, RunStatus, Sim, SimConfig,
 };
 use net_model::StorageLedger;
-use par_sim::run_sharded;
+use protocols::{HydeeFactory, HydeeParams, ProtocolFactory, RunRequest};
 use std::sync::{Arc, Mutex};
 use workloads::WorkloadSpec;
 
@@ -53,8 +51,9 @@ fn null_protocol_stencil_matches_serial_at_every_shard_count() {
             SimConfig::default(),
             &clusters,
             shards,
-            |_slice| NullProtocol,
+            no_failures(),
             None,
+            |_slice| NullProtocol,
         );
         assert_eq!(par.shards, shards as u32);
         assert_equivalent(&serial, &par);
@@ -89,12 +88,49 @@ fn hydee_with_periodic_checkpoints_matches_serial() {
             SimConfig::default(),
             &clusters,
             shards,
-            |slice| Hydee::sharded(mk_cfg(), ledger.clone(), slice.clusters.clone()),
+            no_failures(),
             None,
+            |slice| Hydee::sharded(mk_cfg(), ledger.clone(), slice.clusters.clone()),
         );
         assert_equivalent(&serial, &par);
-        assert_eq!(par.barrier_rounds, 159, "{shards} shards");
+        // One shard is the one-shard run itself: no barrier.
+        let rounds = if shards == 1 { 0 } else { 159 };
+        assert_eq!(par.barrier_rounds, rounds, "{shards} shards");
     }
+}
+
+#[test]
+fn failure_request_runs_the_one_shard_case() {
+    // A request whose failure model expects failures runs on one shard
+    // whatever it asks for, and that run is `Sim::run` itself.
+    let clusters = ClusterMap::blocks(12, 3);
+    let params = HydeeParams {
+        image_bytes: Some(1 << 16),
+        checkpoint_interval: Some(SimDuration::from_us(300)),
+        ..Default::default()
+    };
+    let poisson =
+        || Box::new(PoissonPerRank::new(12, SimDuration::from_ms(5), 3).with_max_failures(1));
+    let mut sim = Sim::new(
+        stencil(12, 10),
+        SimConfig::default(),
+        Hydee::new(params.config_for(clusters.clone())),
+    );
+    sim.set_failure_model(poisson());
+    let serial = sim.run();
+    let driven = HydeeFactory::new(params).run(
+        RunRequest::new(stencil(12, 10))
+            .clusters(clusters)
+            .failure_model(poisson())
+            .shards(4),
+    );
+    assert!(serial.completed(), "{:?}", serial.status);
+    assert_eq!(serial.metrics.failures, 1, "the failure must strike");
+    assert_equivalent(&serial, &driven);
+    assert_eq!((driven.shards, serial.shards), (1, 1));
+    assert_eq!((driven.barrier_rounds, serial.barrier_rounds), (0, 0));
+    assert_eq!(driven.pair_lookahead, serial.pair_lookahead);
+    assert!(driven.pair_lookahead.is_empty());
 }
 
 #[test]
@@ -114,8 +150,9 @@ fn deadlocked_run_merges_the_stuck_diagnostics() {
         SimConfig::default(),
         &clusters,
         2,
-        |_| NullProtocol,
+        no_failures(),
         None,
+        |_| NullProtocol,
     );
     assert_eq!(serial.status, par.status);
     assert!(!par.completed());
@@ -133,8 +170,9 @@ fn event_budget_stops_a_sharded_run() {
         config,
         &ClusterMap::blocks(16, 4),
         2,
-        |_| NullProtocol,
+        no_failures(),
         None,
+        |_| NullProtocol,
     );
     assert_eq!(par.status, RunStatus::EventLimit);
     assert_eq!(par.shards, 2);
@@ -146,4 +184,8 @@ fn event_budget_stops_a_sharded_run() {
         "{}",
         par.metrics.events
     );
+}
+
+fn no_failures() -> Box<dyn FailureModel> {
+    Box::new(FixedSchedule::none())
 }

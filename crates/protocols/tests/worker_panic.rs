@@ -7,11 +7,10 @@
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
-    Application, CheckpointPolicyConfig, ClusterMap, Ctx, Endpoint, Message, Protocol, Rank,
-    SendDirective, SendInfo, SimConfig,
+    run_sharded, Application, CheckpointPolicyConfig, ClusterMap, Ctx, Endpoint, FailureModel,
+    FixedSchedule, Message, Protocol, Rank, SendDirective, SendInfo, SimConfig,
 };
 use net_model::StorageLedger;
-use par_sim::run_sharded;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,12 +75,13 @@ fn run_armed_on_deliver(armed: &[u32]) -> (String, usize) {
             SimConfig::default(),
             &clusters,
             3,
+            no_failures(),
+            None,
             |slice| PanicOnDeliver {
                 shard: slice.shard,
                 armed: armed.contains(&slice.shard),
                 fired: fired.clone(),
             },
-            None,
         );
     });
     (message, fired.load(Ordering::Relaxed))
@@ -193,16 +193,21 @@ fn a_panic_inside_a_timer_step_surfaces() {
             SimConfig::default(),
             &clusters,
             3,
+            no_failures(),
+            None,
             |slice| PanicOnTimer {
                 inner: Hydee::sharded(mk_cfg(), ledger.clone(), slice.clusters.clone()),
                 shard: slice.shard,
                 armed: slice.shard == 1,
             },
-            None,
         );
     });
     assert!(
         message.starts_with("timer fault on shard 1: timer "),
         "unexpected payload: {message}"
     );
+}
+
+fn no_failures() -> Box<dyn FailureModel> {
+    Box::new(FixedSchedule::none())
 }

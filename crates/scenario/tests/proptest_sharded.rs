@@ -137,7 +137,7 @@ fn oversharded_requests_clamp_to_the_cluster_count() {
         ClusterStrategy::Blocks(8),
     )
     .with_shards(64);
-    let (effective, warning) = par_sim::effective_shards(64, 8);
+    let (effective, warning) = mps_sim::effective_shards(64, 8);
     assert_eq!(effective, 8);
     let warning = warning.expect("clamping must warn");
     assert!(warning.contains("64") && warning.contains('8'), "{warning}");
