@@ -290,6 +290,122 @@ fn bench_stencil_protocol_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// Runs HydEE and, at `at`, captures cluster 0 `iters` times, timing
+/// only the captures.
+struct CaptureLoop {
+    inner: Hydee,
+    at: SimTime,
+    iters: u64,
+    elapsed: std::time::Duration,
+}
+
+/// Timer id of the capture loop (HydEE's timers are cluster ids).
+const CAPTURE_TIMER: u64 = u64::MAX;
+
+impl mps_sim::Protocol for CaptureLoop {
+    type Ctl = hydee::HydeeCtl;
+
+    fn name(&self) -> &'static str {
+        "capture-loop"
+    }
+
+    fn init(&mut self, ctx: &mut mps_sim::Ctx<'_, Self::Ctl>) {
+        self.inner.init(ctx);
+        ctx.set_timer(self.at, CAPTURE_TIMER);
+    }
+
+    fn on_send(
+        &mut self,
+        ctx: &mut mps_sim::Ctx<'_, Self::Ctl>,
+        info: &mps_sim::SendInfo,
+    ) -> mps_sim::SendDirective {
+        self.inner.on_send(ctx, info)
+    }
+
+    fn on_deliver(&mut self, ctx: &mut mps_sim::Ctx<'_, Self::Ctl>, msg: &mps_sim::Message) {
+        self.inner.on_deliver(ctx, msg)
+    }
+
+    fn on_control(
+        &mut self,
+        ctx: &mut mps_sim::Ctx<'_, Self::Ctl>,
+        to: mps_sim::Endpoint,
+        from: mps_sim::Endpoint,
+        ctl: Self::Ctl,
+    ) {
+        self.inner.on_control(ctx, to, from, ctl)
+    }
+
+    fn on_timer(&mut self, ctx: &mut mps_sim::Ctx<'_, Self::Ctl>, id: u64) {
+        if id != CAPTURE_TIMER {
+            return self.inner.on_timer(ctx, id);
+        }
+        let member = Rank(3);
+        assert!(
+            !self.inner.state(member).log.is_empty()
+                && !self.inner.state(member).rpp.is_empty()
+                && !ctx.pending_meta_from(member, Rank(2)).is_empty(),
+            "the captured cluster must hold logs, RPP entries and buffered messages"
+        );
+        let start = std::time::Instant::now();
+        for _ in 0..self.iters {
+            black_box(self.inner.capture_cluster(ctx, 0));
+        }
+        self.elapsed = start.elapsed();
+    }
+
+    fn on_done(&mut self, ctx: &mut mps_sim::Ctx<'_, Self::Ctl>, rank: Rank) {
+        self.inner.on_done(ctx, rank)
+    }
+}
+
+/// 32 ranks in two clusters of 16. Rank `r < 16` trades 32 inter-cluster
+/// messages each way with `r + 16` (sender logs and RPP entries), and
+/// sends 4 intra-cluster messages that `r + 1` only receives after
+/// 1 ms (buffered in its inbox at the 500 µs capture).
+fn capture_app() -> Application {
+    let mut app = Application::new(32);
+    for r in 0..16u32 {
+        let (peer, next) = (Rank(r + 16), Rank((r + 1) % 16));
+        for t in 0..32 {
+            app.rank_mut(Rank(r)).send(peer, 1024, Tag(t));
+            app.rank_mut(peer).send(Rank(r), 1024, Tag(t));
+        }
+        for t in 0..32 {
+            app.rank_mut(Rank(r)).recv(peer, Tag(t));
+            app.rank_mut(peer).recv(Rank(r), Tag(t));
+        }
+        for t in 100..104 {
+            app.rank_mut(Rank(r)).send(next, 64, Tag(t));
+        }
+    }
+    for r in 0..16u32 {
+        let prev = Rank((r + 15) % 16);
+        app.rank_mut(Rank(r)).compute(SimDuration::from_ms(1));
+        for t in 100..104 {
+            app.rank_mut(Rank(r)).recv(prev, Tag(t));
+        }
+    }
+    app
+}
+
+fn bench_checkpoint_capture(c: &mut Criterion) {
+    c.bench_function("checkpoint_capture_16_ranks", |b| {
+        b.iter_custom(|iters| {
+            let probe = CaptureLoop {
+                inner: Hydee::new(HydeeConfig::new(ClusterMap::blocks(32, 2))),
+                at: SimTime::from_us(500),
+                iters,
+                elapsed: std::time::Duration::ZERO,
+            };
+            let (report, probe) =
+                Sim::new(capture_app(), SimConfig::default(), probe).run_with_protocol();
+            assert!(report.completed(), "{:?}", report.status);
+            probe.elapsed
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_scheduler,
@@ -299,6 +415,7 @@ criterion_group!(
     bench_rng,
     bench_partitioner,
     bench_sim_throughput,
-    bench_stencil_protocol_overhead
+    bench_stencil_protocol_overhead,
+    bench_checkpoint_capture
 );
 criterion_main!(benches);

@@ -9,20 +9,28 @@
 //! Coordinated checkpointing guarantees the cut is consistent *within* the
 //! cluster; inter-cluster channels are not captured — that is exactly what
 //! sender-based logging covers.
+//!
+//! Per-member state is held in `Vec`s in member order (the order of
+//! `ClusterMap::members`), and each checkpoint of a cluster is written
+//! over the previous one: the engine snapshots through
+//! `Ctx::capture_rank_into`, the protocol states through
+//! [`HydeeState::checkpoint_into`], the channel state through
+//! `Ctx::capture_inflight_into`. Every buffer is reused, so a steady-state
+//! checkpoint allocates nothing for the state it saves (DESIGN.md §2.1).
 
 use crate::state::HydeeState;
 use det_sim::SimTime;
-use mps_sim::{InFlightMsg, Rank, RankSnapshot};
-use std::collections::BTreeMap;
+use mps_sim::{InFlightMsg, RankSnapshot};
 
 /// One cluster's saved state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClusterCheckpoint {
     pub taken_at: SimTime,
-    /// Engine snapshot per member.
-    pub snaps: BTreeMap<Rank, RankSnapshot>,
-    /// Protocol state per member (persistent fields only).
-    pub states: BTreeMap<Rank, HydeeState>,
+    /// Engine snapshot per member, in member order.
+    pub snaps: Vec<RankSnapshot>,
+    /// Protocol state per member, in member order (persistent fields
+    /// only).
+    pub states: Vec<HydeeState>,
     /// Intra-cluster channel state at the cut.
     pub inflight: Vec<InFlightMsg>,
     /// Total bytes written to stable storage for this checkpoint.
@@ -30,8 +38,8 @@ pub struct ClusterCheckpoint {
 }
 
 impl ClusterCheckpoint {
-    /// Bytes attributable to the `idx`-th member (members ordered by
-    /// rank): a uniform split with the remainder spread one byte each
+    /// Bytes attributable to the `idx`-th member (in member order): a
+    /// uniform split with the remainder spread one byte each
     /// over the first `bytes % n` members, so the shares always sum to
     /// exactly [`ClusterCheckpoint::bytes`] (conservation-tested). The
     /// old truncating `bytes / n` under-counted the checkpoint by up to

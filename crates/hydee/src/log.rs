@@ -9,9 +9,10 @@
 //!   (Algorithm 3, lines 10–12);
 //! * garbage collection on checkpoint acknowledgements (§III-E).
 //!
-//! Logs are part of the process checkpoint (Algorithm 1, line 21): the
-//! structure is `Clone` and a rollback replaces it with the checkpointed
-//! copy.
+//! Logs are part of the process checkpoint (Algorithm 1, line 21): a
+//! checkpoint copies the log over its previous copy with `clone_from`,
+//! reusing every per-destination buffer, and a rollback copies it back
+//! the same way.
 //!
 //! ## Layout
 //!
@@ -56,11 +57,28 @@ impl LogEntry {
 }
 
 /// Sender-side log of one process, organised per destination.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SenderLog {
     by_dst: PeerMap<Vec<LogEntry>>,
     total_bytes: u64,
     total_messages: u64,
+}
+
+impl Clone for SenderLog {
+    fn clone(&self) -> Self {
+        SenderLog {
+            by_dst: self.by_dst.clone(),
+            total_bytes: self.total_bytes,
+            total_messages: self.total_messages,
+        }
+    }
+
+    /// Overwrite `self` with `src`, reusing its per-destination buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.by_dst.clone_from(&src.by_dst);
+        self.total_bytes = src.total_bytes;
+        self.total_messages = src.total_messages;
+    }
 }
 
 impl SenderLog {

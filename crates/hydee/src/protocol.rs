@@ -30,8 +30,8 @@ use crate::recovery::RecoveryProcess;
 use crate::state::{HydeeState, RecoveryRole};
 use det_sim::{SimDuration, SimTime};
 use mps_sim::{
-    CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PeerMap, PolicyObs, Protocol, Rank,
-    SendAction, SendDirective, SendInfo,
+    CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PolicyObs, Protocol, Rank, SendAction,
+    SendDirective, SendInfo,
 };
 use net_model::StorageLedger;
 use std::collections::BTreeSet;
@@ -197,43 +197,41 @@ impl Hydee {
     }
 
     /// Capture a consistent cut of cluster `c` (engine snapshots, protocol
-    /// states, intra-cluster channel state). Does not charge time.
-    fn capture_cluster(&mut self, ctx: &mut Ctx<'_, HydeeCtl>, c: u32) -> ClusterCheckpoint {
-        let members: Vec<Rank> = self.cfg.clusters.members(c).to_vec();
-        let inflight = ctx.capture_inflight_within(&members);
-        let mut snaps = std::collections::BTreeMap::new();
-        let mut states = std::collections::BTreeMap::new();
+    /// states, intra-cluster channel state) into its checkpoint slot,
+    /// overwriting the cluster's previous checkpoint in place, and return
+    /// its bytes. It also starts the members' GC epoch, as every
+    /// checkpoint does. Charges no time and consults no policy: this is
+    /// the capture half of a checkpoint, run alone at t=0 (and by the
+    /// `checkpoint_capture_16_ranks` micro-benchmark).
+    pub fn capture_cluster(&mut self, ctx: &mut Ctx<'_, HydeeCtl>, c: u32) -> u64 {
+        let mut ckpt = self.checkpoints[c as usize].take().unwrap_or_default();
+        let clusters = &self.cfg.clusters;
+        let members = clusters.members(c);
+        ctx.capture_inflight_into(members, &mut ckpt.inflight);
+        ckpt.snaps.resize_with(members.len(), Default::default);
+        ckpt.states.resize_with(members.len(), Default::default);
         let mut bytes = 0u64;
-        for &r in &members {
-            let mut snap = ctx.capture_rank(r);
+        for ((&r, snap), saved) in members.iter().zip(&mut ckpt.snaps).zip(&mut ckpt.states) {
             // Inter-cluster channel state is NOT part of a cluster
             // checkpoint: sender-based logs cover it (see
-            // RankSnapshot::retain_messages).
-            snap.retain_messages(|m| self.cfg.clusters.same_cluster(m.src, m.dst));
+            // Ctx::capture_rank_into).
+            ctx.capture_rank_into(r, snap, |m| clusters.same_cluster(m.src, m.dst));
             let st = &mut self.states[r.idx()];
             // GC epoch bookkeeping: remember what this checkpoint covers
             // and arm the acknowledgement-on-first-delivery markers.
             st.ckpt_date = st.date;
-            st.ckpt_maxdates = PeerMap::new();
-            for s in st.rpp.sources() {
-                *st.ckpt_maxdates.get_or_default(s) = st.rpp.maxdate(s);
-            }
-            st.ack_pending = st
-                .rpp
-                .sources()
-                .filter(|&s| self.cfg.clusters.cluster_of(s) != c)
-                .collect();
+            st.ckpt_maxdates.clear();
+            st.ckpt_maxdates.extend_sorted(st.rpp.maxdates());
+            st.ack_pending.clear();
+            st.ack_pending
+                .extend(st.rpp.sources().filter(|&s| clusters.cluster_of(s) != c));
             bytes += self.cfg.image_bytes + st.checkpoint_bytes() + snap.image_bytes();
-            states.insert(r, st.checkpoint_view());
-            snaps.insert(r, snap);
+            st.checkpoint_into(saved);
         }
-        ClusterCheckpoint {
-            taken_at: ctx.now(),
-            snaps,
-            states,
-            inflight,
-            bytes,
-        }
+        ckpt.taken_at = ctx.now();
+        ckpt.bytes = bytes;
+        self.checkpoints[c as usize] = Some(ckpt);
+        bytes
     }
 
     /// Sender-log bytes currently held by cluster `c`'s members.
@@ -302,8 +300,8 @@ impl Hydee {
 
     /// Coordinated checkpoint of cluster `c` with full cost accounting.
     fn do_checkpoint(&mut self, ctx: &mut Ctx<'_, HydeeCtl>, c: u32) {
-        let ckpt = self.capture_cluster(ctx, c);
-        let members: Vec<Rank> = self.cfg.clusters.members(c).to_vec();
+        let ckpt_bytes = self.capture_cluster(ctx, c);
+        let members = self.cfg.clusters.members(c);
         let n_members = members.len() as u64;
         // Cluster-internal coordination: one small-message round per tree
         // level, down and up.
@@ -316,9 +314,9 @@ impl Hydee {
             .ledger
             .lock()
             .unwrap()
-            .write_batch(ctx.now(), ckpt.bytes);
+            .write_batch(ctx.now(), ckpt_bytes);
         let cost = coord + write.total();
-        for &r in &members {
+        for &r in members {
             ctx.charge(r, cost);
         }
         let now = ctx.now();
@@ -328,18 +326,17 @@ impl Hydee {
                 now,
                 write.queued,
                 write.service,
-                ckpt.bytes,
+                ckpt_bytes,
             );
-            rec.on_checkpoint(c, now, now + cost, ckpt.bytes);
+            rec.on_checkpoint(c, now, now + cost, ckpt_bytes);
         }
         ctx.metrics().checkpoints += n_members;
-        ctx.metrics().checkpoint_bytes += ckpt.bytes;
+        ctx.metrics().checkpoint_bytes += ckpt_bytes;
         ctx.metrics().checkpoint_time += cost * n_members;
         let ci = c as usize;
         self.last_ckpt_cost[ci] = cost;
         self.ckpts_taken[ci] += 1;
         self.log_bytes_at_ckpt[ci] = self.cluster_log_bytes(c);
-        self.checkpoints[ci] = Some(ckpt);
     }
 
     /// Send every notice the recovery process produced, then finish
@@ -481,8 +478,7 @@ impl Protocol for Hydee {
             if !self.owns_cluster(c) {
                 continue;
             }
-            let ckpt = self.capture_cluster(ctx, c);
-            self.checkpoints[c as usize] = Some(ckpt);
+            self.capture_cluster(ctx, c);
         }
         for c in 0..self.cfg.clusters.n_clusters() as u32 {
             if self.owns_cluster(c) {
@@ -930,32 +926,30 @@ impl Protocol for Hydee {
                 }
             }
         }
+        let clusters = &self.cfg.clusters;
         for &c in &rolled_clusters {
             let ckpt = self.checkpoints[c as usize]
                 .as_ref()
                 .expect("no checkpoint for rolled cluster");
-            let members: Vec<Rank> = self.cfg.clusters.members(c).to_vec();
-            let taken_inflight = ckpt.inflight.clone();
-            for &r in &members {
-                let snap = ckpt.snaps[&r].clone();
-                let mut st = ckpt.states[&r].clone();
+            let members = clusters.members(c);
+            let outside = clusters.non_members(c);
+            for ((&r, snap), saved) in members.iter().zip(&ckpt.snaps).zip(&ckpt.states) {
+                let st = &mut self.states[r.idx()];
+                saved.checkpoint_into(st);
                 st.role = RecoveryRole::Rolled;
                 st.suppressing = true;
-                st.notify_recv = false;
-                st.waiting_lastdate = self.cfg.clusters.non_members(c).into_iter().collect();
+                st.waiting_lastdate = outside.iter().copied().collect();
                 st.waiting_rollback = rolled_set
                     .iter()
                     .copied()
-                    .filter(|&k| self.cluster_of(k) != c)
+                    .filter(|&k| clusters.cluster_of(k) != c)
                     .collect();
-                st.rollback_info.clear();
-                self.states[r.idx()] = st;
-                ctx.restore_rank(r, &snap, true);
+                ctx.restore_rank(r, snap, true);
                 ctx.charge(r, self.cfg.restart_latency + read);
             }
             // Chandy-Lamport channel state: re-inject intra-cluster
             // messages that were in flight at the cut.
-            ctx.inject_inflight(&taken_inflight);
+            ctx.inject_inflight(&ckpt.inflight);
         }
 
         // Restarted processes notify everyone outside their cluster

@@ -22,7 +22,7 @@
 use mps_sim::{PeerMap, Rank};
 
 /// State of one incoming channel.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ChannelRpp {
     /// Sender date of the most recent message received on this channel.
     pub maxdate: u64,
@@ -30,10 +30,40 @@ pub struct ChannelRpp {
     pub phases: Vec<(u64, u64)>,
 }
 
+impl Clone for ChannelRpp {
+    fn clone(&self) -> Self {
+        ChannelRpp {
+            maxdate: self.maxdate,
+            phases: self.phases.clone(),
+        }
+    }
+
+    /// Overwrite `self` with `src`, reusing its phase buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.maxdate = src.maxdate;
+        self.phases.clone_from(&src.phases);
+    }
+}
+
 /// Received-Per-Phase table of one process.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A checkpoint copies it over its previous copy with `clone_from`, which
+/// reuses the channel table and every channel's phase buffer.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Rpp {
     channels: PeerMap<ChannelRpp>,
+}
+
+impl Clone for Rpp {
+    fn clone(&self) -> Self {
+        Rpp {
+            channels: self.channels.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.channels.clone_from(&src.channels);
+    }
 }
 
 impl Rpp {
@@ -95,6 +125,11 @@ impl Rpp {
     /// Channels with at least one recorded message, in rank order.
     pub fn sources(&self) -> impl Iterator<Item = Rank> + '_ {
         self.channels.keys()
+    }
+
+    /// `(source, maxdate)` of every channel, in rank order.
+    pub fn maxdates(&self) -> impl Iterator<Item = (Rank, u64)> + '_ {
+        self.channels.iter().map(|(r, c)| (r, c.maxdate))
     }
 
     /// Total entries held (for memory accounting).

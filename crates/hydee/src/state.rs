@@ -76,19 +76,43 @@ impl HydeeState {
         }
     }
 
-    /// The state as saved in a checkpoint: persistent fields only,
-    /// transient recovery fields reset.
-    pub fn checkpoint_view(&self) -> HydeeState {
-        HydeeState {
-            date: self.date,
-            phase: self.phase,
-            rpp: self.rpp.clone(),
-            log: self.log.clone(),
-            ckpt_date: self.ckpt_date,
-            ckpt_maxdates: self.ckpt_maxdates.clone(),
-            ack_pending: self.ack_pending.clone(),
-            ..HydeeState::new()
-        }
+    /// Write the state as saved in a checkpoint into `dst`: persistent
+    /// fields copied through `clone_from`, which reuses `dst`'s buffers,
+    /// and transient recovery fields reset. A checkpoint captures with
+    /// it, and a rollback restores the live state with it.
+    pub fn checkpoint_into(&self, dst: &mut HydeeState) {
+        let HydeeState {
+            date,
+            phase,
+            rpp,
+            log,
+            ckpt_date,
+            ckpt_maxdates,
+            ack_pending,
+            role,
+            orphan_date,
+            waiting_lastdate,
+            waiting_rollback,
+            rollback_info,
+            notify_recv,
+            resent_logs,
+            suppressing,
+        } = dst;
+        *date = self.date;
+        *phase = self.phase;
+        rpp.clone_from(&self.rpp);
+        log.clone_from(&self.log);
+        *ckpt_date = self.ckpt_date;
+        ckpt_maxdates.clone_from(&self.ckpt_maxdates);
+        ack_pending.clone_from(&self.ack_pending);
+        *role = RecoveryRole::None;
+        orphan_date.clear();
+        waiting_lastdate.clear();
+        waiting_rollback.clear();
+        rollback_info.clear();
+        *notify_recv = false;
+        resent_logs.clear();
+        *suppressing = false;
     }
 
     /// Has this rolled-back process passed every orphan horizon (so its
@@ -124,14 +148,38 @@ mod tests {
         st.suppressing = true;
         st.waiting_lastdate.insert(Rank(1));
         st.orphan_date.insert(Rank(1), 5);
-        let v = st.checkpoint_view();
+        // A dirty destination: every transient set, persistent tables
+        // longer than the source's.
+        let mut v = st.clone();
+        v.role = RecoveryRole::Rolled;
+        v.waiting_rollback.insert(Rank(2));
+        v.rollback_info.insert(Rank(2), (1, 1));
+        v.ack_pending = vec![Rank(4), Rank(5)];
+        v.log.append(crate::log::LogEntry {
+            date: 1,
+            phase: 1,
+            dst: Rank(4),
+            tag: mps_sim::Tag(0),
+            bytes: 8,
+            payload: 0,
+            channel_seq: 1,
+        });
+        v.rpp.record(Rank(4), 1, 1);
+        *v.ckpt_maxdates.get_or_default(Rank(4)) = 1;
+        st.checkpoint_into(&mut v);
         assert_eq!(v.date, 10);
         assert_eq!(v.phase, 3);
         assert!(!v.notify_recv);
         assert!(!v.suppressing);
         assert!(v.waiting_lastdate.is_empty());
+        assert!(v.waiting_rollback.is_empty());
+        assert!(v.rollback_info.is_empty());
         assert!(v.orphan_date.is_empty());
         assert_eq!(v.role, RecoveryRole::None);
+        assert!(v.log.is_empty() && v.log.iter().next().is_none());
+        assert!(v.rpp.is_empty() && v.rpp.sources().next().is_none());
+        assert!(v.ack_pending.is_empty());
+        assert_eq!(v.ckpt_maxdates.iter().count(), 0);
     }
 
     #[test]

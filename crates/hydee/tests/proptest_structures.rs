@@ -5,6 +5,12 @@
 //! `*_matches_btreemap_model` properties drive each through random
 //! operation sequences beside a `BTreeMap` reference model and compare
 //! every observable after every operation.
+//!
+//! Checkpoints overwrite the previous checkpoint's tables with a
+//! hand-written `clone_from` that reuses every buffer; the
+//! `*_clone_from_equals_clone` properties check it against a fresh
+//! `clone()` into destinations with more peers, fewer peers and longer
+//! per-peer vectors than the source, so no stale tail can survive.
 
 use hydee::{LogEntry, RecoveryProcess, Rpp, SenderLog};
 use mps_sim::{Rank, Tag};
@@ -61,6 +67,92 @@ fn assert_log_matches(log: &SenderLog, model: &LogModel, cut: u64) {
             .map(|m| m.range(cut + 1..).map(|(_, &e)| e).collect())
             .unwrap_or_default();
         prop_assert_eq!(log.replay_set(dst, cut), expected, "replay set to {}", dst);
+    }
+}
+
+/// Per peer, how many entries to append (`0..`), then a GC cut.
+type Shape = (Vec<(u32, u8)>, u64);
+
+fn shape() -> impl Strategy<Value = Shape> {
+    (prop::collection::vec((0u32..PEERS, 0u8..6), 0..8), 0u64..40)
+}
+
+/// A log with `n` entries per `(peer, n)` of `shape`, dates ascending,
+/// pruned below the cut on every other destination.
+fn log_of((counts, cut): &Shape, extra: u8) -> SenderLog {
+    let mut log = SenderLog::new();
+    let mut date = 0u64;
+    for &(peer, n) in counts {
+        for _ in 0..n + extra {
+            date += 1;
+            log.append(LogEntry {
+                date,
+                phase: date % 3 + 1,
+                dst: Rank(peer),
+                tag: Tag(peer),
+                bytes: 8 * date,
+                payload: date,
+                channel_seq: date,
+            });
+        }
+    }
+    for peer in (0..PEERS).step_by(2) {
+        log.prune(Rank(peer), *cut);
+    }
+    log
+}
+
+/// An RPP with `n` receptions per `(peer, n)` of `shape`, pruned below
+/// the cut on every other channel.
+fn rpp_of((counts, cut): &Shape, extra: u8) -> Rpp {
+    let mut rpp = Rpp::new();
+    let mut date = 0u64;
+    for &(peer, n) in counts {
+        for _ in 0..n + extra {
+            date += 1;
+            rpp.record(Rank(peer), date, date % 4 + 1);
+        }
+    }
+    for peer in (1..PEERS).step_by(2) {
+        rpp.prune(Rank(peer), *cut);
+    }
+    rpp
+}
+
+/// Every peer of `shape`, and then some: a superset with longer vectors.
+fn grown((counts, cut): &Shape) -> Shape {
+    let mut more = counts.clone();
+    more.extend((0..PEERS).map(|p| (p, 2)));
+    (more, *cut)
+}
+
+/// `dst.clone_from(src)` equals `src.clone()` for each destination.
+fn check_clone_from<T: Clone + PartialEq + std::fmt::Debug>(src: &T, dsts: &[T]) {
+    for dst in dsts {
+        let mut reused = dst.clone();
+        reused.clone_from(src);
+        prop_assert_eq!(&reused, &src.clone());
+    }
+}
+
+proptest! {
+    /// Destinations: an arbitrary other log (more or fewer peers), the
+    /// same peers with 3 more entries each, a superset of the peers, and
+    /// an empty log; and the reverse copy into the source's shape.
+    #[test]
+    fn sender_log_clone_from_equals_clone(a in shape(), b in shape()) {
+        let src = log_of(&a, 0);
+        let dsts = [log_of(&b, 0), log_of(&a, 3), log_of(&grown(&a), 1), SenderLog::new()];
+        check_clone_from(&src, &dsts);
+        check_clone_from(&log_of(&b, 0), &[src]);
+    }
+
+    #[test]
+    fn rpp_clone_from_equals_clone(a in shape(), b in shape()) {
+        let src = rpp_of(&a, 0);
+        let dsts = [rpp_of(&b, 0), rpp_of(&a, 3), rpp_of(&grown(&a), 1), Rpp::new()];
+        check_clone_from(&src, &dsts);
+        check_clone_from(&rpp_of(&b, 0), &[src]);
     }
 }
 

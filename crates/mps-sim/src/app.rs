@@ -34,7 +34,7 @@ pub enum DetMode {
 }
 
 /// Per-rank application state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AppState {
     pub mode: DetMode,
     /// Running digest of everything delivered so far.

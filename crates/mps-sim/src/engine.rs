@@ -245,7 +245,10 @@ enum Status {
 }
 
 /// Checkpointable execution state of one rank (protocol-opaque).
-#[derive(Debug, Clone)]
+///
+/// Checkpoints overwrite their previous snapshot ([`Ctx::capture_rank_into`],
+/// `clone_from`) so that a steady-state capture allocates nothing.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct RankSnapshot {
     pc: usize,
     app: AppState,
@@ -253,23 +256,30 @@ pub struct RankSnapshot {
     send_seq: PeerMap<u64>,
 }
 
+impl Clone for RankSnapshot {
+    fn clone(&self) -> Self {
+        RankSnapshot {
+            pc: self.pc,
+            app: self.app,
+            inbox: self.inbox.clone(),
+            send_seq: self.send_seq.clone(),
+        }
+    }
+
+    /// Overwrite `self` with `src`, reusing its inbox and channel table.
+    fn clone_from(&mut self, src: &Self) {
+        self.pc = src.pc;
+        self.app = src.app;
+        self.inbox.clone_from(&src.inbox);
+        self.send_seq.clone_from(&src.send_seq);
+    }
+}
+
 impl RankSnapshot {
     /// Approximate serialized size of the snapshot (for checkpoint cost
     /// models): program counter + app state + buffered messages.
     pub fn image_bytes(&self) -> u64 {
         64 + self.inbox.iter().map(|a| 64 + a.msg.bytes).sum::<u64>()
-    }
-
-    /// Drop buffered (arrived-but-undelivered) messages not satisfying
-    /// `pred` from the snapshot.
-    ///
-    /// Hybrid protocols call this with "same cluster" so the checkpoint
-    /// holds only intra-cluster channel state: an arrived-but-undelivered
-    /// INTER-cluster message has no RPP record yet (RPP is written at
-    /// delivery), so the sender would replay it after a rollback — keeping
-    /// the buffered copy too would deliver it twice.
-    pub fn retain_messages(&mut self, pred: impl FnMut(&Message) -> bool) {
-        self.inbox.retain(pred);
     }
 }
 
@@ -944,15 +954,27 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
         }
     }
 
-    /// Capture `rank`'s execution state for a checkpoint.
-    pub fn capture_rank(&self, rank: Rank) -> RankSnapshot {
+    /// Capture `rank`'s execution state for a checkpoint into `snap`,
+    /// overwriting it in place (no allocation once `snap`'s buffers are
+    /// large enough). Only the buffered (arrived-but-undelivered) messages
+    /// that satisfy `keep` are copied.
+    ///
+    /// Hybrid protocols keep "same cluster" so the checkpoint holds only
+    /// intra-cluster channel state: an arrived-but-undelivered
+    /// INTER-cluster message has no RPP record yet (RPP is written at
+    /// delivery), so the sender would replay it after a rollback — keeping
+    /// the buffered copy too would deliver it twice.
+    pub fn capture_rank_into(
+        &self,
+        rank: Rank,
+        snap: &mut RankSnapshot,
+        keep: impl FnMut(&Message) -> bool,
+    ) {
         let rs = &self.core.ranks[rank.idx()];
-        RankSnapshot {
-            pc: rs.pc,
-            app: rs.app,
-            inbox: rs.inbox.clone(),
-            send_seq: rs.send_seq.clone(),
-        }
+        snap.pc = rs.pc;
+        snap.app = rs.app;
+        snap.inbox.clone_kept_from(&rs.inbox, keep);
+        snap.send_seq.clone_from(&rs.send_seq);
     }
 
     /// Restore `rank` from a snapshot. The rank resumes at the current
@@ -968,8 +990,8 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
         let rs = &mut self.core.ranks[rank.idx()];
         rs.pc = snap.pc;
         rs.app = snap.app;
-        rs.inbox = snap.inbox.clone();
-        rs.send_seq = snap.send_seq.clone();
+        rs.inbox.clone_from(&snap.inbox);
+        rs.send_seq.clone_from(&snap.send_seq);
         rs.clock = now;
         rs.epoch += 1;
         rs.status = Status::Runnable;
@@ -979,10 +1001,11 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
             .schedule_event(now, key::exec(rank, epoch), Event::Exec { rank, epoch });
     }
 
-    /// Capture in-flight messages whose source *and* destination are both
-    /// in `set` (intra-cluster channel state for a coordinated checkpoint),
-    /// ordered by arrival time. Reads only the flights addressed to `set`.
-    pub fn capture_inflight_within(&self, set: &[Rank]) -> Vec<InFlightMsg> {
+    /// Capture into `out`, replacing its contents, the in-flight messages
+    /// whose source *and* destination are both in `set` (intra-cluster
+    /// channel state for a coordinated checkpoint), ordered by arrival
+    /// time. Reads only the flights addressed to `set`.
+    pub fn capture_inflight_into(&self, set: &[Rank], out: &mut Vec<InFlightMsg>) {
         let (member, ranks) = RankSet::dedup(self.core.n(), set);
         let flights = &self.core.flights;
         let mut found: Vec<(SimTime, u64, &Message, SimDuration)> = ranks
@@ -999,12 +1022,12 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
         // tie-break the pre-slab implementation got from its monotone map
         // keys, immune to slot recycling and to the walk order above.
         found.sort_unstable_by_key(|&(at, seq, _, _)| (at, seq));
-        // Checkpoints keep the result: it gets an exact allocation of its
-        // own rather than reusing (and retaining) the larger `found`.
-        found
-            .into_iter()
-            .map(|(_, _, &msg, recv_cost)| InFlightMsg { msg, recv_cost })
-            .collect()
+        out.clear();
+        out.extend(
+            found
+                .into_iter()
+                .map(|(_, _, &msg, recv_cost)| InFlightMsg { msg, recv_cost }),
+        );
     }
 
     /// Drop every in-flight message (application and control) destined to
@@ -1046,7 +1069,7 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
         self.core.journal_log_delta(delta);
     }
 
-    /// Re-inject channel state captured by [`Ctx::capture_inflight_within`]
+    /// Re-inject channel state captured by [`Ctx::capture_inflight_into`]
     /// after a rollback: the messages re-enter their channels now.
     pub fn inject_inflight(&mut self, msgs: &[InFlightMsg]) {
         let now = self.now();

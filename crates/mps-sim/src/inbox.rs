@@ -19,7 +19,9 @@
 //! tag is also the oldest of its channel: wildcards keep per-channel FIFO.
 //!
 //! The inbox is part of the rank's checkpointable state: cluster-coordinated
-//! checkpoints capture it, and rollback restores it.
+//! checkpoints capture it, and rollback restores it. Both copy into the
+//! destination's existing `Vec` (`clone_from`, [`Inbox::clone_kept_from`])
+//! rather than allocating a fresh one.
 
 use crate::types::{Message, Rank, Tag};
 
@@ -34,10 +36,23 @@ pub struct Arrived {
 }
 
 /// Receive buffer for one rank.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Inbox {
     /// Pending messages in push order.
     pending: Vec<Arrived>,
+}
+
+impl Clone for Inbox {
+    fn clone(&self) -> Self {
+        Inbox {
+            pending: self.pending.clone(),
+        }
+    }
+
+    /// Overwrite `self` with `src` in `self`'s existing buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.pending.clone_from(&src.pending);
+    }
 }
 
 impl Inbox {
@@ -89,11 +104,13 @@ impl Inbox {
         self.pending.iter()
     }
 
-    /// Keep only pending messages satisfying `pred` (used when
-    /// checkpointing: inter-cluster channel state is excluded because
-    /// sender-based logs own it).
-    pub fn retain(&mut self, mut pred: impl FnMut(&Message) -> bool) {
-        self.pending.retain(|a| pred(&a.msg));
+    /// Overwrite `self` with the messages of `src` that satisfy `keep`,
+    /// in `src`'s order, reusing `self`'s buffer (checkpoints that
+    /// exclude inter-cluster channel state, which sender-based logs own).
+    pub fn clone_kept_from(&mut self, src: &Inbox, mut keep: impl FnMut(&Message) -> bool) {
+        self.pending.clear();
+        self.pending
+            .extend(src.pending.iter().filter(|a| keep(&a.msg)).copied());
     }
 }
 
@@ -236,12 +253,17 @@ mod tests {
 
     #[test]
     fn retain_updates_len() {
-        let mut ib = Inbox::new();
+        let mut src = Inbox::new();
         for i in 1..=10u64 {
-            ib.push2(msg(1, 0, i), i);
+            src.push2(msg(1, 0, i), i);
         }
-        ib.retain(|m| m.channel_seq % 2 == 0);
+        let mut ib = Inbox::new();
+        for i in 1..=20u64 {
+            ib.push2(msg(2, 0, i), i);
+        }
+        ib.clone_kept_from(&src, |m| m.channel_seq % 2 == 0);
         assert_eq!(ib.len(), 5);
         assert_eq!(ib.iter().count(), 5);
+        assert!(ib.iter().all(|a| a.msg.src == Rank(1)), "no stale tail");
     }
 }

@@ -3,16 +3,42 @@
 //! Channel sequence numbers, HydEE's RPP and its sender log are keyed by
 //! peer rank, touched on every send or delivery and copied into every
 //! checkpoint, and a rank has few peers. A sorted `Vec<(Rank, V)>` is a
-//! binary search per lookup, one allocation per snapshot clone, and
-//! iterates in rank order like the `BTreeMap` it replaces. It grows as
-//! channels are first used: no channel table is built at set-up.
+//! binary search per lookup and iterates in rank order like the
+//! `BTreeMap` it replaces. It grows as channels are first used: no
+//! channel table is built at set-up.
+//!
+//! A checkpoint overwrites the previous one with `clone_from`, which
+//! reuses the outer `Vec` and, entry by entry, each value's own buffers
+//! (`V::clone_from`). A derived `Clone` would not: its `clone_from` is a
+//! fresh `clone()`.
 
 use crate::types::Rank;
 
 /// A map from peer rank to `V`, stored as a `Vec` sorted by rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PeerMap<V> {
     entries: Vec<(Rank, V)>,
+}
+
+impl<V: Clone> Clone for PeerMap<V> {
+    fn clone(&self) -> Self {
+        PeerMap {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Overwrite `self` with `src`, reusing its storage: the first
+    /// `min(len)` entries take `src`'s values through `V::clone_from`,
+    /// surplus entries are dropped and missing ones cloned.
+    fn clone_from(&mut self, src: &Self) {
+        self.entries.truncate(src.entries.len());
+        let (head, tail) = src.entries.split_at(self.entries.len());
+        for ((r, v), (sr, sv)) in self.entries.iter_mut().zip(head) {
+            *r = *sr;
+            v.clone_from(sv);
+        }
+        self.entries.extend_from_slice(tail);
+    }
 }
 
 impl<V> Default for PeerMap<V> {
@@ -57,6 +83,24 @@ impl<V> PeerMap<V> {
         &mut self.entries[i].1
     }
 
+    /// Remove every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Append `entries`, which must ascend in rank and follow every
+    /// present entry: a rebuild after [`PeerMap::clear`] that needs no
+    /// search.
+    pub fn extend_sorted(&mut self, entries: impl IntoIterator<Item = (Rank, V)>) {
+        for (peer, v) in entries {
+            debug_assert!(
+                self.entries.last().is_none_or(|&(last, _)| last < peer),
+                "extend_sorted: {peer} does not ascend"
+            );
+            self.entries.push((peer, v));
+        }
+    }
+
     /// Entries in ascending rank order.
     pub fn iter(&self) -> impl Iterator<Item = (Rank, &V)> {
         self.entries.iter().map(|(r, v)| (*r, v))
@@ -96,6 +140,29 @@ mod tests {
         assert_eq!(m.keys().collect::<Vec<_>>(), [Rank(2), Rank(4)]);
         assert_eq!(m.get(Rank(4)), Some(&vec![1, 3]));
         assert_eq!(m.get(Rank(2)), Some(&vec![2]));
+    }
+
+    #[test]
+    fn clear_and_extend_sorted_rebuild() {
+        let mut m = PeerMap::new();
+        *m.get_or_default(Rank(8)) = 80u32;
+        m.clear();
+        m.extend_sorted([(Rank(1), 10), (Rank(4), 40)]);
+        assert_eq!(pairs(&m), vec![(1, 10), (4, 40)]);
+        assert_eq!(m.get(Rank(4)), Some(&40));
+    }
+
+    #[test]
+    fn clone_from_reuses_and_truncates() {
+        let mut src: PeerMap<Vec<u32>> = PeerMap::new();
+        src.get_or_default(Rank(3)).push(1);
+        let mut dst: PeerMap<Vec<u32>> = PeerMap::new();
+        dst.get_or_default(Rank(1)).extend([7, 7, 7]);
+        dst.get_or_default(Rank(2)).push(9);
+        let reused = dst.get(Rank(1)).unwrap().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.get(Rank(3)).unwrap().as_ptr(), reused);
     }
 
     #[test]

@@ -183,7 +183,11 @@ impl Protocol for RewindProbe {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ProbeCtl>, id: u64) {
         match id {
-            1 => self.snap = Some(ctx.capture_rank(Rank(0))),
+            1 => {
+                let mut snap = RankSnapshot::default();
+                ctx.capture_rank_into(Rank(0), &mut snap, |_| true);
+                self.snap = Some(snap);
+            }
             2 => {
                 let snap = self.snap.take().expect("captured");
                 ctx.restore_rank(Rank(0), &snap, false);
@@ -223,6 +227,89 @@ fn capture_restore_replays_the_program() {
     assert!(report.trace.consistent_reemissions > 0);
 }
 
+/// Captures at 500 µs, when ranks 1 and 2 hold buffered messages, each
+/// rank into a fresh snapshot and into one already holding another
+/// rank's capture, keeping every buffered message or only rank 0's.
+#[derive(Default)]
+struct ReuseProbe {
+    /// `(fresh, reused)` per capture.
+    pairs: Vec<(RankSnapshot, RankSnapshot)>,
+}
+
+impl Protocol for ReuseProbe {
+    type Ctl = ProbeCtl;
+
+    fn name(&self) -> &'static str {
+        "reuse-probe"
+    }
+
+    fn init(&mut self, ctx: &mut Ctx<'_, ProbeCtl>) {
+        ctx.set_timer(SimTime::from_us(500), 1);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProbeCtl>, _id: u64) {
+        let from_zero = |m: &Message| m.src == Rank(0);
+        for (target, dirty_from) in [(1u32, 2u32), (2, 1), (2, 2)] {
+            for keep_all in [true, false] {
+                let keep = |m: &Message| keep_all || from_zero(m);
+                let mut fresh = RankSnapshot::default();
+                ctx.capture_rank_into(Rank(target), &mut fresh, keep);
+                let mut reused = RankSnapshot::default();
+                ctx.capture_rank_into(Rank(dirty_from), &mut reused, |_| true);
+                ctx.capture_rank_into(Rank(target), &mut reused, keep);
+                self.pairs.push((fresh, reused));
+            }
+        }
+    }
+}
+
+#[test]
+fn capture_rank_into_a_dirty_snapshot_equals_a_fresh_capture() {
+    // At 500 µs rank 1 holds 3 buffered messages and has sent nothing;
+    // rank 2 holds 5 and has used 3 send channels. Reuse runs both
+    // ways: into a snapshot with more inbox and peers, and with fewer.
+    let mut app = Application::new(4);
+    app.rank_mut(Rank(0))
+        .send(Rank(1), 64, Tag(0))
+        .send(Rank(1), 64, Tag(1))
+        .recv(Rank(2), Tag(3));
+    app.rank_mut(Rank(1))
+        .compute(SimDuration::from_ms(1))
+        .recv(Rank(0), Tag(0))
+        .recv(Rank(0), Tag(1))
+        .recv(Rank(2), Tag(2));
+    app.rank_mut(Rank(2))
+        .send(Rank(1), 64, Tag(2))
+        .send(Rank(0), 64, Tag(3))
+        .send(Rank(3), 64, Tag(4))
+        .compute(SimDuration::from_ms(1));
+    for t in 10..15 {
+        app.rank_mut(Rank(3)).send(Rank(2), 64, Tag(t));
+        app.rank_mut(Rank(2)).recv(Rank(3), Tag(t));
+    }
+    app.rank_mut(Rank(3)).recv(Rank(2), Tag(4));
+    let (report, probe) =
+        Sim::new(app, SimConfig::default(), ReuseProbe::default()).run_with_protocol();
+    assert!(report.completed(), "{:?}", report.status);
+    assert_eq!(probe.pairs.len(), 6);
+    for (fresh, reused) in &probe.pairs {
+        assert_eq!(reused, fresh);
+    }
+    // `clone_from` between snapshots reuses the destination the same way.
+    for (src, _) in &probe.pairs {
+        for (dst, _) in &probe.pairs {
+            let mut copy = dst.clone();
+            copy.clone_from(src);
+            assert_eq!(&copy, src);
+        }
+    }
+    // The captures are not trivially empty: rank 1 keeps its 3 buffered
+    // messages, rank 2 its 5, and the filter keeps only rank 0's two.
+    let buffered = |s: &RankSnapshot| (s.image_bytes() - 64) / (64 + 64);
+    let counts: Vec<u64> = probe.pairs.iter().map(|(f, _)| buffered(f)).collect();
+    assert_eq!(counts, vec![3, 2, 5, 0, 5, 0]);
+}
+
 /// Failure with no protocol reaction deadlocks; with drop+restore wiring
 /// in a minimal protocol, the run completes — exercising drop_inflight_to
 /// and inject_inflight directly.
@@ -241,8 +328,11 @@ impl Protocol for MiniRecover {
     fn init(&mut self, ctx: &mut Ctx<'_, ProbeCtl>) {
         // Initial global checkpoint including channel state.
         let ranks: Vec<Rank> = (0..ctx.n_ranks() as u32).map(Rank).collect();
-        self.inflight = ctx.capture_inflight_within(&ranks);
-        self.snaps = ranks.iter().map(|&r| ctx.capture_rank(r)).collect();
+        ctx.capture_inflight_into(&ranks, &mut self.inflight);
+        self.snaps.resize_with(ranks.len(), Default::default);
+        for (&r, snap) in ranks.iter().zip(&mut self.snaps) {
+            ctx.capture_rank_into(r, snap, |_| true);
+        }
     }
 
     fn on_failure(&mut self, ctx: &mut Ctx<'_, ProbeCtl>, _failed: &[Rank]) {
@@ -387,6 +477,14 @@ fn probe(
     probe
 }
 
+/// [`Ctx::capture_inflight_into`] `set`, into a buffer that already holds
+/// a stale message: capture must replace its contents.
+fn inflight_within(ctx: &Ctx<'_, ProbeCtl>, set: &[Rank]) -> Vec<mps_sim::InFlightMsg> {
+    let mut out = vec![crafted(9, 9, 9)];
+    ctx.capture_inflight_into(set, &mut out);
+    out
+}
+
 /// `(src, dst, bytes)` of each captured message, in capture order.
 fn channels(msgs: &[mps_sim::InFlightMsg]) -> Vec<(u32, u32, u64)> {
     msgs.iter()
@@ -404,7 +502,7 @@ fn capture_keeps_only_app_channels_inside_the_set_in_arrival_order() {
     // state. P0→P2 (source only) and P2→P1 (destination only) cross the
     // set's boundary. P1→P0 lands first although it was sent second.
     let p = probe(vec![(rank(0), rank(1))], |ctx| {
-        vec![ctx.capture_inflight_within(&[Rank(0), Rank(1)])]
+        vec![inflight_within(ctx, &[Rank(0), Rank(1)])]
     });
     assert_eq!(
         channels(&p.captured[0]),
@@ -416,8 +514,8 @@ fn capture_keeps_only_app_channels_inside_the_set_in_arrival_order() {
 fn capture_ignores_duplicated_ranks_in_the_set() {
     let p = probe(Vec::new(), |ctx| {
         vec![
-            ctx.capture_inflight_within(&[Rank(0), Rank(1)]),
-            ctx.capture_inflight_within(&[Rank(1), Rank(0), Rank(1), Rank(0), Rank(0)]),
+            inflight_within(ctx, &[Rank(0), Rank(1)]),
+            inflight_within(ctx, &[Rank(1), Rank(0), Rank(1), Rank(0), Rank(0)]),
         ]
     });
     assert_eq!(channels(&p.captured[1]), channels(&p.captured[0]));
@@ -453,7 +551,7 @@ fn capture_breaks_arrival_ties_by_creation_order() {
             ctx.drop_inflight_to(&all);
             let msgs: Vec<_> = order.iter().map(|&(s, d)| crafted(s, d, 8)).collect();
             ctx.inject_inflight(&msgs);
-            out.push(ctx.capture_inflight_within(&all));
+            out.push(inflight_within(ctx, &all));
         }
         ctx.drop_inflight_to(&all);
         out
@@ -481,9 +579,9 @@ fn drop_removes_exactly_the_flights_addressed_to_the_ranks() {
     ];
     let p = probe(ctls, |ctx| {
         let all = [Rank(0), Rank(1), Rank(2)];
-        let before = ctx.capture_inflight_within(&all);
+        let before = inflight_within(ctx, &all);
         ctx.drop_inflight_to(&[Rank(1), Rank(1)]);
-        vec![before, ctx.capture_inflight_within(&all)]
+        vec![before, inflight_within(ctx, &all)]
     });
     assert_eq!(p.captured[0].len(), 4);
     let mut left = channels(&p.captured[1]);

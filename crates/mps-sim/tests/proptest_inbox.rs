@@ -5,7 +5,10 @@
 //! model, verbatim apart from its serde impls, its name and the two
 //! probes the engine never called: random interleavings of push, both
 //! receive kinds, `retain` and snapshot/restore clones must give
-//! identical results and lengths on both after every step.
+//! identical results and lengths on both after every step. The flat side
+//! does `retain` as a filtered copy into a dirty buffer
+//! (`Inbox::clone_kept_from`) and snapshot/restore as `clone_from` into
+//! the existing inbox, as checkpoints and rollbacks do.
 //!
 //! Arrival stamps repeat, tie and run out of push order across channels,
 //! so the wildcard rule (earliest stamp, then lowest source) is exercised
@@ -259,6 +262,7 @@ fn run_equivalence(ops: &[Op]) {
     let mut new = Inbox::new();
     let mut old = RefInbox::new();
     let mut saved = (new.clone(), old.clone());
+    let mut scratch = Inbox::new();
     let mut last_stamp: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut next_id = 1u64;
 
@@ -284,12 +288,16 @@ fn run_equivalence(ops: &[Op]) {
                 "take_any diverged"
             ),
             Op::Retain { modulus } => {
-                new.retain(|m| m.payload % modulus != 0);
+                scratch.clone_kept_from(&new, |m| m.payload % modulus != 0);
+                std::mem::swap(&mut new, &mut scratch);
                 old.retain(|m| m.payload % modulus != 0);
             }
-            Op::Snapshot => saved = (new.clone(), old.clone()),
+            Op::Snapshot => {
+                saved.0.clone_from(&new);
+                saved.1 = old.clone();
+            }
             Op::Restore => {
-                new = saved.0.clone();
+                new.clone_from(&saved.0);
                 old = saved.1.clone();
             }
         }

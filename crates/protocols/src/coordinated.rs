@@ -61,6 +61,7 @@ impl CoordinatedConfig {
     }
 }
 
+#[derive(Default)]
 struct GlobalCheckpoint {
     taken_at: SimTime,
     snaps: Vec<RankSnapshot>,
@@ -143,24 +144,21 @@ impl GlobalCoordinated {
         (0..self.n as u32).map(Rank).collect()
     }
 
-    fn capture(&mut self, ctx: &mut Ctx<'_, ()>) -> GlobalCheckpoint {
+    /// Capture the global cut into `self.last`, overwriting the previous
+    /// checkpoint in place, and return its bytes.
+    fn capture(&mut self, ctx: &mut Ctx<'_, ()>) -> u64 {
         let ranks = self.all_ranks();
-        let inflight = ctx.capture_inflight_within(&ranks);
+        let ckpt = self.last.get_or_insert_with(Default::default);
+        ctx.capture_inflight_into(&ranks, &mut ckpt.inflight);
+        ckpt.snaps.resize_with(ranks.len(), Default::default);
         let mut bytes = 0;
-        let snaps: Vec<RankSnapshot> = ranks
-            .iter()
-            .map(|&r| {
-                let s = ctx.capture_rank(r);
-                bytes += self.cfg.image_bytes + s.image_bytes();
-                s
-            })
-            .collect();
-        GlobalCheckpoint {
-            taken_at: ctx.now(),
-            snaps,
-            inflight,
-            bytes,
+        for (&r, snap) in ranks.iter().zip(&mut ckpt.snaps) {
+            ctx.capture_rank_into(r, snap, |_| true);
+            bytes += self.cfg.image_bytes + snap.image_bytes();
         }
+        ckpt.taken_at = ctx.now();
+        ckpt.bytes = bytes;
+        bytes
     }
 }
 
@@ -174,16 +172,16 @@ impl Protocol for GlobalCoordinated {
     fn init(&mut self, ctx: &mut Ctx<'_, ()>) {
         self.n = ctx.n_ranks();
         // Implicit cost-free initial checkpoint.
-        self.last = Some(self.capture(ctx));
+        self.capture(ctx);
         self.consult_policy(ctx, ctx.now());
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _id: u64) {
-        let ckpt = self.capture(ctx);
+        let ckpt_bytes = self.capture(ctx);
         // Every rank writes simultaneously — the full-width I/O burst
         // the paper's §VI warns about, priced as one machine-wide batch
         // on the shared pipe (and queued behind anything it overlaps).
-        let write = self.ledger.write_batch(ctx.now(), ckpt.bytes);
+        let write = self.ledger.write_batch(ctx.now(), ckpt_bytes);
         // Global coordination barrier: two tree traversals of the machine.
         let levels = (usize::BITS - (self.n.max(1) - 1).leading_zeros()) as u64;
         let coord = ctx.wire_cost(32).one_way() * (2 * levels.max(1));
@@ -198,17 +196,16 @@ impl Protocol for GlobalCoordinated {
                 now,
                 write.queued,
                 write.service,
-                ckpt.bytes,
+                ckpt_bytes,
             );
             // The whole machine is one containment domain: cluster 0.
-            rec.on_checkpoint(0, now, now + cost, ckpt.bytes);
+            rec.on_checkpoint(0, now, now + cost, ckpt_bytes);
         }
         ctx.metrics().checkpoints += self.n as u64;
-        ctx.metrics().checkpoint_bytes += ckpt.bytes;
+        ctx.metrics().checkpoint_bytes += ckpt_bytes;
         ctx.metrics().checkpoint_time += cost * self.n as u64;
         self.last_ckpt_cost = cost;
         self.ckpts_taken += 1;
-        self.last = Some(ckpt);
         // Consult the policy after the write completes (see
         // hydee::protocol) so a checkpoint costing more than the
         // interval cannot livelock.
@@ -236,14 +233,12 @@ impl Protocol for GlobalCoordinated {
         // checkpoint total (the old `bytes / n × n readers` dropped the
         // remainder) plus whatever it overlaps.
         let total = ckpt.bytes;
-        let inflight = ckpt.inflight.clone();
-        let snaps: Vec<RankSnapshot> = ckpt.snaps.clone();
         let read = self.ledger.read_batch(started, total);
-        for (i, snap) in snaps.iter().enumerate() {
+        for (i, snap) in ckpt.snaps.iter().enumerate() {
             ctx.restore_rank(Rank(i as u32), snap, false);
             ctx.charge(Rank(i as u32), self.cfg.restart_latency + read.total());
         }
-        ctx.inject_inflight(&inflight);
+        ctx.inject_inflight(&ckpt.inflight);
         if let Some(rec) = ctx.recorder() {
             rec.on_storage(
                 mps_sim::StorageDir::Read,
