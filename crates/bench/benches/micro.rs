@@ -56,6 +56,43 @@ fn bench_scheduler_with_cancels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The classic hold model: a steady `depth`-deep queue where every step
+/// pops the head and schedules one keyed event a random offset ahead.
+/// 4k is `halo4096_sharded`'s per-shard depth, 128k `ckpt_recovery`'s
+/// peak. One iteration is `HOLD_STEPS` steps (ns/op = ns/iter / steps).
+fn bench_scheduler_hold(c: &mut Criterion) {
+    const HOLD_STEPS: u64 = 10_000;
+    fn hold(s: &mut Scheduler<u64>, rng: &mut DetRng, now: SimTime) {
+        let at = now + SimDuration::from_ps(rng.gen_range(1_000_000));
+        // Class bits in the top byte, as the engine's keys carry them.
+        let key = (rng.gen_range(4) << 56) | rng.gen_range(8_192);
+        s.schedule_keyed(at, key, key);
+    }
+    let mut g = c.benchmark_group("scheduler");
+    g.throughput(Throughput::Elements(HOLD_STEPS));
+    for (name, depth) in [("hold_4k", 4_096u64), ("hold_128k", 131_072)] {
+        g.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut rng = DetRng::new(7);
+                let mut s: Scheduler<u64> = Scheduler::new();
+                for _ in 0..depth {
+                    hold(&mut s, &mut rng, SimTime::ZERO);
+                }
+                let start = std::time::Instant::now();
+                let mut acc = 0u64;
+                for _ in 0..iters * HOLD_STEPS {
+                    let (t, e) = s.pop().expect("the hold queue never drains");
+                    acc = acc.wrapping_add(e);
+                    hold(&mut s, &mut rng, t);
+                }
+                black_box(acc);
+                start.elapsed()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_inbox(c: &mut Criterion) {
     use mps_sim::{Inbox, Message, PbMeta};
     let msg = |src: u32, tag: u32, seq: u64| Message {
@@ -410,6 +447,7 @@ criterion_group!(
     benches,
     bench_scheduler,
     bench_scheduler_with_cancels,
+    bench_scheduler_hold,
     bench_inbox,
     bench_trace_digest,
     bench_rng,

@@ -27,7 +27,7 @@ use crate::config::HydeeConfig;
 use crate::ctl::{HydeeCtl, RpNotice, RECOVERY_PROCESS};
 use crate::log::LogEntry;
 use crate::recovery::RecoveryProcess;
-use crate::state::{HydeeState, RecoveryRole};
+use crate::state::{remove_sorted, HydeeState, RecoveryRole};
 use det_sim::{SimDuration, SimTime};
 use mps_sim::{
     CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PolicyObs, Protocol, Rank, SendAction,
@@ -694,7 +694,7 @@ impl Protocol for Hydee {
                 let Endpoint::Rank(k) = from else { return };
                 let st = &mut self.states[me.idx()];
                 st.rollback_info.insert(k, (own_date, maxdate_from_you));
-                st.waiting_rollback.remove(&k);
+                remove_sorted(&mut st.waiting_rollback, k);
                 if st.waiting_rollback.is_empty() && st.role != RecoveryRole::None {
                     self.compile_reports(ctx, me);
                 }
@@ -708,7 +708,7 @@ impl Protocol for Hydee {
                 let Endpoint::Rank(j) = from else { return };
                 let st = &mut self.states[me.idx()];
                 st.orphan_date.insert(j, maxdate_from_you);
-                st.waiting_lastdate.remove(&j);
+                remove_sorted(&mut st.waiting_lastdate, j);
                 self.try_open_gate(ctx, me);
             }
             (Endpoint::Rank(me), HydeeCtl::NotifySendMsg { .. }) => {
@@ -820,7 +820,9 @@ impl Protocol for Hydee {
             .iter()
             .flat_map(|&c| self.cfg.clusters.members(c).iter().copied())
             .collect();
-        let rolled_set: BTreeSet<Rank> = rolled.iter().copied().collect();
+        // `rolled`, ascending: the survivors' `waiting_rollback`.
+        let mut rolled_set = rolled.clone();
+        rolled_set.sort_unstable();
         ctx.metrics().ranks_rolled_back += rolled.len() as u64;
         for &c in &rolled_clusters {
             if let Some(ckpt) = &self.checkpoints[c as usize] {
@@ -847,12 +849,12 @@ impl Protocol for Hydee {
         // still needs them, so release them now.
         for i in 0..self.cfg.clusters.n_ranks() {
             let r = Rank(i as u32);
-            if rolled_set.contains(&r) || self.states[i].resent_logs.is_empty() {
+            if rolled_set.binary_search(&r).is_ok() || self.states[i].resent_logs.is_empty() {
                 continue;
             }
             let entries = std::mem::take(&mut self.states[i].resent_logs);
             for e in entries {
-                if !rolled_set.contains(&e.dst) {
+                if rolled_set.binary_search(&e.dst).is_err() {
                     ctx.replay_app(e.to_message(r));
                 }
             }
@@ -869,12 +871,13 @@ impl Protocol for Hydee {
         // every rolled rank.
         for i in 0..self.cfg.clusters.n_ranks() {
             let r = Rank(i as u32);
-            if rolled_set.contains(&r) {
+            if rolled_set.binary_search(&r).is_ok() {
                 continue;
             }
             let st = &mut self.states[i];
             st.role = RecoveryRole::Survivor;
-            st.waiting_rollback = rolled_set.clone();
+            st.waiting_rollback.clear();
+            st.waiting_rollback.extend_from_slice(&rolled_set);
             st.rollback_info.clear();
             st.notify_recv = false;
             ctx.gate(r, true);
@@ -938,12 +941,13 @@ impl Protocol for Hydee {
                 saved.checkpoint_into(st);
                 st.role = RecoveryRole::Rolled;
                 st.suppressing = true;
-                st.waiting_lastdate = outside.iter().copied().collect();
-                st.waiting_rollback = rolled_set
-                    .iter()
-                    .copied()
-                    .filter(|&k| clusters.cluster_of(k) != c)
-                    .collect();
+                st.waiting_lastdate.extend_from_slice(&outside);
+                st.waiting_rollback.extend(
+                    rolled_set
+                        .iter()
+                        .copied()
+                        .filter(|&k| clusters.cluster_of(k) != c),
+                );
                 ctx.restore_rank(r, snap, true);
                 ctx.charge(r, self.cfg.restart_latency + read);
             }
@@ -955,16 +959,18 @@ impl Protocol for Hydee {
         // Restarted processes notify everyone outside their cluster
         // (Algorithm 2, lines 6-7) — carrying both date quantities (see
         // ctl.rs on date domains).
-        for &r in &rolled {
-            let c = self.cluster_of(r);
-            for peer in self.cfg.clusters.non_members(c) {
-                let ctl = HydeeCtl::Rollback {
-                    epoch: self.recovery_epoch,
-                    own_date: self.states[r.idx()].date,
-                    maxdate_from_you: self.states[r.idx()].rpp.maxdate(peer),
-                };
-                let bytes = ctl.wire_bytes();
-                ctx.send_ctl(Endpoint::Rank(r), Endpoint::Rank(peer), bytes, ctl);
+        for &c in &rolled_clusters {
+            let outside = self.cfg.clusters.non_members(c);
+            for &r in self.cfg.clusters.members(c) {
+                for &peer in &outside {
+                    let ctl = HydeeCtl::Rollback {
+                        epoch: self.recovery_epoch,
+                        own_date: self.states[r.idx()].date,
+                        maxdate_from_you: self.states[r.idx()].rpp.maxdate(peer),
+                    };
+                    let bytes = ctl.wire_bytes();
+                    ctx.send_ctl(Endpoint::Rank(r), Endpoint::Rank(peer), bytes, ctl);
+                }
             }
         }
         // Ranks with nothing to wait for (single-cluster failure: the

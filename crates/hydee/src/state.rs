@@ -9,7 +9,7 @@ use crate::log::SenderLog;
 use crate::rpp::Rpp;
 use mps_sim::{PeerMap, Rank};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Role of a process in the current recovery (if any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -21,6 +21,13 @@ pub enum RecoveryRole {
     Rolled,
     /// Not rolled back (runs Algorithm 3).
     Survivor,
+}
+
+/// Remove `r` from the ascending `ranks`, if present.
+pub(crate) fn remove_sorted(ranks: &mut Vec<Rank>, r: Rank) {
+    if let Ok(i) = ranks.binary_search(&r) {
+        ranks.remove(i);
+    }
 }
 
 /// Protocol state of one process.
@@ -50,11 +57,13 @@ pub struct HydeeState {
     /// Suppression horizon per external peer: last date of ours the peer
     /// has received (`LastDate` answers). `None` until answered.
     pub orphan_date: BTreeMap<Rank, u64>,
-    /// Peers whose `LastDate` we still await before our first send.
-    pub waiting_lastdate: BTreeSet<Rank>,
+    /// Peers whose `LastDate` we still await before our first send,
+    /// ascending. Refilled in place at each failure, then removed from
+    /// by binary search.
+    pub waiting_lastdate: Vec<Rank>,
     /// Rolled-back peers (outside our cluster) whose `Rollback` we await
-    /// before compiling reports.
-    pub waiting_rollback: BTreeSet<Rank>,
+    /// before compiling reports, ascending, like `waiting_lastdate`.
+    pub waiting_rollback: Vec<Rank>,
     /// Rollback info received: peer -> (own_date, maxdate_from_you).
     pub rollback_info: BTreeMap<Rank, (u64, u64)>,
     /// `NotifySendMsg` received.
@@ -146,13 +155,13 @@ mod tests {
         st.phase = 3;
         st.notify_recv = true;
         st.suppressing = true;
-        st.waiting_lastdate.insert(Rank(1));
+        st.waiting_lastdate.push(Rank(1));
         st.orphan_date.insert(Rank(1), 5);
         // A dirty destination: every transient set, persistent tables
         // longer than the source's.
         let mut v = st.clone();
         v.role = RecoveryRole::Rolled;
-        v.waiting_rollback.insert(Rank(2));
+        v.waiting_rollback.push(Rank(2));
         v.rollback_info.insert(Rank(2), (1, 1));
         v.ack_pending = vec![Rank(4), Rank(5)];
         v.log.append(crate::log::LogEntry {

@@ -36,7 +36,7 @@ use crate::protocol::{Protocol, SendAction, SendInfo};
 use crate::shards::{decide, merge, Decision, ShardState};
 use crate::trace::Trace;
 use crate::types::{Endpoint, Message, Rank};
-use det_sim::{EventHandle, FxHashMap, Scheduler, SimDuration, SimTime};
+use det_sim::{EventHandle, Scheduler, SimDuration, SimTime};
 use net_model::{CostCache, LinkClass, MsgCost, MxModel, NetworkModel, Topology};
 use std::sync::Arc;
 use telemetry::{Gauges, Recorder};
@@ -442,10 +442,7 @@ impl<C> FlightSlab<C> {
             }
             let at = slot;
             slot = self.links[at as usize].1;
-            let f = self.slots[at as usize]
-                .as_ref()
-                .expect("linked slot is occupied");
-            Some((at, f))
+            Some((at, self.get(at)))
         })
     }
 
@@ -458,6 +455,13 @@ impl<C> FlightSlab<C> {
             .filter_map(|(i, f)| f.as_ref().map(|f| (i as u32, f)))
     }
 
+    /// The flight in occupied `slot`.
+    fn get(&self, slot: u32) -> &Flight<C> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("slot is occupied")
+    }
+
     /// Messages currently in flight (every vacant slot is on the free
     /// list, so this is O(1)).
     fn len(&self) -> usize {
@@ -465,33 +469,43 @@ impl<C> FlightSlab<C> {
     }
 }
 
-/// Bitmap over rank indices: O(1) membership for the rank-set queries,
-/// where a linear `contains` would cost O(|set|) per flight.
-struct RankSet {
+/// Reusable scratch of the rank-set queries (checkpoint capture, rollback
+/// drop), so that neither allocates once its buffers are warm.
+#[derive(Default)]
+struct RankQuery {
+    /// Membership bitmap over rank indices: O(1) membership, where a
+    /// linear `contains` would cost O(|set|) per flight. All clear between
+    /// queries: [`RankQuery::end`] clears exactly the words `begin` set.
     bits: Vec<u64>,
+    /// Distinct members of the current set, in first-seen order.
+    ranks: Vec<Rank>,
+    /// `(at, seq, slot)` of each flight the query selected.
+    found: Vec<(SimTime, u64, u32)>,
 }
 
-impl RankSet {
-    /// The set of `ranks` (of `n` ranks in all), plus its distinct members
-    /// in first-seen order.
-    fn dedup(n: usize, ranks: &[Rank]) -> (RankSet, Vec<Rank>) {
-        let mut set = RankSet {
-            bits: vec![0; n.div_ceil(64)],
-        };
-        let distinct = ranks.iter().copied().filter(|&r| set.insert(r)).collect();
-        (set, distinct)
-    }
-
-    /// Add `r`; `false` if it was already present.
-    fn insert(&mut self, r: Rank) -> bool {
-        let (word, bit) = (r.idx() / 64, 1u64 << (r.idx() % 64));
-        let fresh = self.bits[word] & bit == 0;
-        self.bits[word] |= bit;
-        fresh
+impl RankQuery {
+    /// Start a query over `set` (of `n` ranks in all).
+    fn begin(&mut self, n: usize, set: &[Rank]) {
+        self.bits.resize(n.div_ceil(64), 0);
+        for &r in set {
+            let (word, bit) = (r.idx() / 64, 1u64 << (r.idx() % 64));
+            if self.bits[word] & bit == 0 {
+                self.bits[word] |= bit;
+                self.ranks.push(r);
+            }
+        }
+        self.found.clear();
     }
 
     fn contains(&self, r: Rank) -> bool {
         self.bits[r.idx() / 64] & (1u64 << (r.idx() % 64)) != 0
+    }
+
+    /// End the query: clear the bits of its members.
+    fn end(&mut self) {
+        for r in self.ranks.drain(..) {
+            self.bits[r.idx() / 64] = 0;
+        }
     }
 }
 
@@ -552,8 +566,15 @@ pub struct Core<C> {
     /// `config.topology`, or a flat one over `config.network` when unset:
     /// every message is priced through this one path.
     topology: Arc<Topology>,
-    fifo_last: FxHashMap<(Endpoint, Endpoint), SimTime>,
+    /// Last arrival time stamped on each channel, for FIFO adjustment:
+    /// one table per sender, keyed by receiver. Ranks index their own
+    /// table; aux endpoint `a` indexes `n_ranks + a` (aux ids are small:
+    /// HydEE's recovery process is 0). Grows on a sender's first send.
+    fifo_last: Vec<PeerMap<SimTime, Endpoint>>,
     flights: FlightSlab<C>,
+    /// Scratch of [`Ctx::capture_inflight_into`] and
+    /// [`Ctx::drop_inflight_to`].
+    query: RankQuery,
     /// Memoized network pricing: each delivery burst is priced once per
     /// distinct wire size instead of per message (DESIGN.md §2.1).
     cost_cache: CostCache,
@@ -609,8 +630,9 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
             programs: app.into_programs(),
             config,
             topology,
-            fifo_last: FxHashMap::default(),
+            fifo_last: Vec::new(),
             flights: FlightSlab::new(n),
+            query: RankQuery::default(),
             cost_cache: CostCache::new(),
             arrival_counter: 0,
             done_count: 0,
@@ -744,7 +766,14 @@ impl<C: Clone + std::fmt::Debug> Core<C> {
 
     /// FIFO-adjust an arrival on `(from, to)` and record it.
     fn fifo_adjust(&mut self, from: Endpoint, to: Endpoint, computed: SimTime) -> SimTime {
-        let last = self.fifo_last.entry((from, to)).or_insert(SimTime::ZERO);
+        let sender = match from {
+            Endpoint::Rank(r) => r.idx(),
+            Endpoint::Aux(a) => self.n() + a as usize,
+        };
+        if sender >= self.fifo_last.len() {
+            self.fifo_last.resize_with(sender + 1, PeerMap::new);
+        }
+        let last = self.fifo_last[sender].get_or_default(to);
         let at = computed.max(*last + SimDuration::from_ps(1));
         *last = at;
         at
@@ -1004,51 +1033,62 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
     /// Capture into `out`, replacing its contents, the in-flight messages
     /// whose source *and* destination are both in `set` (intra-cluster
     /// channel state for a coordinated checkpoint), ordered by arrival
-    /// time. Reads only the flights addressed to `set`.
-    pub fn capture_inflight_into(&self, set: &[Rank], out: &mut Vec<InFlightMsg>) {
-        let (member, ranks) = RankSet::dedup(self.core.n(), set);
-        let flights = &self.core.flights;
-        let mut found: Vec<(SimTime, u64, &Message, SimDuration)> = ranks
-            .iter()
-            .flat_map(|&r| flights.to_rank(r))
-            .filter_map(|(_, f)| match &f.kind {
-                FlightKind::App { msg, recv_cost } if member.contains(msg.src) => {
-                    Some((f.at, f.seq, msg, *recv_cost))
+    /// time. Reads only the flights addressed to `set`, and allocates
+    /// nothing once the engine's query scratch and `out` are warm.
+    pub fn capture_inflight_into(&mut self, set: &[Rank], out: &mut Vec<InFlightMsg>) {
+        let core = &mut *self.core;
+        let n = core.n();
+        let query = &mut core.query;
+        query.begin(n, set);
+        for &r in &query.ranks {
+            for (slot, f) in core.flights.to_rank(r) {
+                if matches!(&f.kind, FlightKind::App { msg, .. } if query.contains(msg.src)) {
+                    query.found.push((f.at, f.seq, slot));
                 }
-                _ => None,
-            })
-            .collect();
+            }
+        }
         // `seq` is the flight's creation order — the same deterministic
         // tie-break the pre-slab implementation got from its monotone map
         // keys, immune to slot recycling and to the walk order above.
-        found.sort_unstable_by_key(|&(at, seq, _, _)| (at, seq));
+        query.found.sort_unstable();
         out.clear();
         out.extend(
-            found
-                .into_iter()
-                .map(|(_, _, &msg, recv_cost)| InFlightMsg { msg, recv_cost }),
+            query
+                .found
+                .iter()
+                .map(|&(_, _, slot)| match &core.flights.get(slot).kind {
+                    FlightKind::App { msg, recv_cost } => InFlightMsg {
+                        msg: *msg,
+                        recv_cost: *recv_cost,
+                    },
+                    FlightKind::Ctl { .. } => unreachable!("only application flights are selected"),
+                }),
         );
+        query.end();
     }
 
     /// Drop every in-flight message (application and control) destined to
     /// any of `ranks`. Used at rollback: messages addressed to the old
     /// incarnation are lost.
     pub fn drop_inflight_to(&mut self, ranks: &[Rank]) {
-        let (_, ranks) = RankSet::dedup(self.core.n(), ranks);
-        let flights = &self.core.flights;
-        let mut victims: Vec<(u32, u64)> = ranks
-            .iter()
-            .flat_map(|&r| flights.to_rank(r))
-            .map(|(slot, f)| (slot, f.seq))
-            .collect();
-        // Remove in slot order, so the free list refills exactly as a
-        // scan of the whole slab would refill it.
-        victims.sort_unstable();
-        for (slot, seq) in victims {
-            if let Some(f) = self.core.flights.remove(slot, seq) {
-                self.core.cancel_event(f.handle);
+        let core = &mut *self.core;
+        let n = core.n();
+        core.query.begin(n, ranks);
+        for &r in &core.query.ranks {
+            for (slot, f) in core.flights.to_rank(r) {
+                core.query.found.push((f.at, f.seq, slot));
             }
         }
+        // Remove in slot order, so the free list refills exactly as a
+        // scan of the whole slab would refill it.
+        core.query.found.sort_unstable_by_key(|&(_, _, slot)| slot);
+        for i in 0..core.query.found.len() {
+            let (_, seq, slot) = core.query.found[i];
+            if let Some(f) = core.flights.remove(slot, seq) {
+                core.cancel_event(f.handle);
+            }
+        }
+        core.query.end();
     }
 
     /// Record `bytes` appended to a sender log. Equivalent to

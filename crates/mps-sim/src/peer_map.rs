@@ -5,7 +5,10 @@
 //! checkpoint, and a rank has few peers. A sorted `Vec<(Rank, V)>` is a
 //! binary search per lookup and iterates in rank order like the
 //! `BTreeMap` it replaces. It grows as channels are first used: no
-//! channel table is built at set-up.
+//! channel table is built at set-up. The engine's FIFO stamps and the
+//! trace oracle's identities are per-sender tables of the same kind; the
+//! FIFO stamps key by [`crate::Endpoint`], because control traffic also
+//! runs to and from auxiliary endpoints.
 //!
 //! A checkpoint overwrites the previous one with `clone_from`, which
 //! reuses the outer `Vec` and, entry by entry, each value's own buffers
@@ -14,13 +17,14 @@
 
 use crate::types::Rank;
 
-/// A map from peer rank to `V`, stored as a `Vec` sorted by rank.
+/// A map from peer `K` (a rank unless stated) to `V`, stored as a `Vec`
+/// sorted by peer.
 #[derive(Debug, PartialEq, Eq)]
-pub struct PeerMap<V> {
-    entries: Vec<(Rank, V)>,
+pub struct PeerMap<V, K = Rank> {
+    entries: Vec<(K, V)>,
 }
 
-impl<V: Clone> Clone for PeerMap<V> {
+impl<V: Clone, K: Copy> Clone for PeerMap<V, K> {
     fn clone(&self) -> Self {
         PeerMap {
             entries: self.entries.clone(),
@@ -41,7 +45,7 @@ impl<V: Clone> Clone for PeerMap<V> {
     }
 }
 
-impl<V> Default for PeerMap<V> {
+impl<V, K> Default for PeerMap<V, K> {
     fn default() -> Self {
         PeerMap {
             entries: Vec::new(),
@@ -49,30 +53,30 @@ impl<V> Default for PeerMap<V> {
     }
 }
 
-impl<V> PeerMap<V> {
+impl<V, K: Ord + Copy + std::fmt::Debug> PeerMap<V, K> {
     pub fn new() -> Self {
         PeerMap::default()
     }
 
     #[inline]
-    fn find(&self, peer: Rank) -> Result<usize, usize> {
+    fn find(&self, peer: K) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&peer, |&(r, _)| r)
     }
 
     #[inline]
-    pub fn get(&self, peer: Rank) -> Option<&V> {
+    pub fn get(&self, peer: K) -> Option<&V> {
         self.find(peer).ok().map(|i| &self.entries[i].1)
     }
 
     #[inline]
-    pub fn get_mut(&mut self, peer: Rank) -> Option<&mut V> {
+    pub fn get_mut(&mut self, peer: K) -> Option<&mut V> {
         self.find(peer).ok().map(|i| &mut self.entries[i].1)
     }
 
-    /// The entry for `peer`, inserted in rank order as `V::default()` if
+    /// The entry for `peer`, inserted in peer order as `V::default()` if
     /// absent.
     #[inline]
-    pub fn get_or_default(&mut self, peer: Rank) -> &mut V
+    pub fn get_or_default(&mut self, peer: K) -> &mut V
     where
         V: Default,
     {
@@ -88,26 +92,36 @@ impl<V> PeerMap<V> {
         self.entries.clear();
     }
 
-    /// Append `entries`, which must ascend in rank and follow every
+    /// Is the map empty?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Append `entries`, which must ascend in peer order and follow every
     /// present entry: a rebuild after [`PeerMap::clear`] that needs no
     /// search.
-    pub fn extend_sorted(&mut self, entries: impl IntoIterator<Item = (Rank, V)>) {
+    pub fn extend_sorted(&mut self, entries: impl IntoIterator<Item = (K, V)>) {
         for (peer, v) in entries {
             debug_assert!(
                 self.entries.last().is_none_or(|&(last, _)| last < peer),
-                "extend_sorted: {peer} does not ascend"
+                "extend_sorted: {peer:?} does not ascend"
             );
             self.entries.push((peer, v));
         }
     }
 
-    /// Entries in ascending rank order.
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, &V)> {
+    /// Entries in ascending peer order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.entries.iter().map(|(r, v)| (*r, v))
     }
 
-    /// Peers in ascending rank order.
-    pub fn keys(&self) -> impl Iterator<Item = Rank> + '_ {
+    /// Values in ascending peer order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Peers in ascending peer order.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.entries.iter().map(|&(r, _)| r)
     }
 }

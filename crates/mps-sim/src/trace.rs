@@ -5,15 +5,16 @@
 //! recovered execution re-emits some sends; if any re-emission differs in
 //! size or payload from the original, the execution violated
 //! send-determinism (or the protocol replayed the wrong thing) and the
-//! conflict is recorded. Identities sit in per-channel arrays in a hash
-//! map (nothing reads it in key order), so memory grows with the messages
-//! on the channels actually used, never with ranks², and sharded runs can
-//! move whole traces into one merged report. The clustering graph does
-//! not come from here: it is built from declared traffic
-//! (`clustering::CommGraph::from_application`).
+//! conflict is recorded. Identities sit in per-channel arrays, one
+//! [`PeerMap`] per sender rank keyed by receiver, so a send finds its
+//! channel with one index and one short binary search, memory grows with
+//! the messages on the channels actually used (never with ranks²), and
+//! sharded runs move whole per-sender tables into one merged report. The
+//! clustering graph does not come from here: it is built from declared
+//! traffic (`clustering::CommGraph::from_application`).
 
+use crate::peer_map::PeerMap;
 use crate::types::{ChannelId, Message};
-use det_sim::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Identity record of one application send.
@@ -37,8 +38,8 @@ pub struct SendIdentity {
 #[derive(Debug, Default)]
 pub struct Trace {
     /// First-seen identity of each message, densely interned per channel:
-    /// `dense[channel][seq - 1]`.
-    dense: FxHashMap<ChannelId, Vec<SendIdentity>>,
+    /// `dense[src][dst][seq - 1]`. Grows on a sender's first send.
+    dense: Vec<PeerMap<Vec<SendIdentity>>>,
     /// Identities whose `channel_seq` arrived beyond the dense prefix.
     sparse: BTreeMap<(ChannelId, u64), SendIdentity>,
     /// Oracle violations discovered during the run.
@@ -51,61 +52,60 @@ pub struct Trace {
 impl Trace {
     /// Look up the first-seen identity of `(channel, seq)`.
     fn identity(&self, channel: ChannelId, seq: u64) -> Option<&SendIdentity> {
-        if seq == 0 {
-            return self.sparse.get(&(channel, seq));
-        }
-        match self.dense.get(&channel) {
-            Some(v) if (seq as usize) <= v.len() => Some(&v[seq as usize - 1]),
+        let dense = self.dense.get(channel.src.idx());
+        match dense.and_then(|t| t.get(channel.dst)) {
+            Some(v) if seq >= 1 && (seq as usize) <= v.len() => Some(&v[seq as usize - 1]),
             _ => self.sparse.get(&(channel, seq)),
         }
-    }
-
-    /// Intern a first emission.
-    fn intern(&mut self, channel: ChannelId, seq: u64, id: SendIdentity) {
-        if seq >= 1 {
-            let v = self.dense.entry(channel).or_default();
-            if seq as usize == v.len() + 1 {
-                v.push(id);
-                return;
-            }
-        }
-        self.sparse.insert((channel, seq), id);
     }
 
     /// Record a send (fresh, re-executed, or suppressed-as-orphan; replayed
     /// log deliveries are *not* recorded here — they are copies, checked on
     /// delivery instead). A first emission interns its identity; any
     /// later emission of the same `(channel, seq)` is checked against it.
+    /// The channel's table is found once, for the probe and the append.
     pub fn record_send(&mut self, msg: &Message) {
         let channel = msg.channel();
-        match self.identity(channel, msg.channel_seq).copied() {
+        let seq = msg.channel_seq;
+        let id = SendIdentity {
+            bytes: msg.bytes,
+            payload: msg.payload,
+        };
+        let orig = if seq == 0 {
+            self.sparse.get(&(channel, seq)).copied()
+        } else {
+            let src = channel.src.idx();
+            if src >= self.dense.len() {
+                self.dense.resize_with(src + 1, PeerMap::new);
+            }
+            let v = self.dense[src].get_or_default(channel.dst);
+            match v.get(seq as usize - 1) {
+                Some(&orig) => Some(orig),
+                None => match self.sparse.get(&(channel, seq)) {
+                    Some(&orig) => Some(orig),
+                    None if seq as usize == v.len() + 1 => {
+                        v.push(id);
+                        return;
+                    }
+                    None => None,
+                },
+            }
+        };
+        match orig {
             None => {
-                self.intern(
-                    channel,
-                    msg.channel_seq,
-                    SendIdentity {
-                        bytes: msg.bytes,
-                        payload: msg.payload,
-                    },
-                );
+                self.sparse.insert((channel, seq), id);
             }
-            Some(orig) => {
-                if orig.bytes == msg.bytes && orig.payload == msg.payload {
-                    self.consistent_reemissions += 1;
-                } else {
-                    self.violations.push(format!(
-                        "send-determinism violation on {src}->{dst} seq {seq}: \
-                         original ({ob} B, payload {op:#x}), re-emission ({nb} B, payload {np:#x})",
-                        src = msg.src,
-                        dst = msg.dst,
-                        seq = msg.channel_seq,
-                        ob = orig.bytes,
-                        op = orig.payload,
-                        nb = msg.bytes,
-                        np = msg.payload,
-                    ));
-                }
-            }
+            Some(orig) if orig == id => self.consistent_reemissions += 1,
+            Some(orig) => self.violations.push(format!(
+                "send-determinism violation on {src}->{dst} seq {seq}: \
+                 original ({ob} B, payload {op:#x}), re-emission ({nb} B, payload {np:#x})",
+                src = msg.src,
+                dst = msg.dst,
+                ob = orig.bytes,
+                op = orig.payload,
+                nb = msg.bytes,
+                np = msg.payload,
+            )),
         }
     }
 
@@ -136,15 +136,19 @@ impl Trace {
     }
 
     /// Merge another shard's trace into this one (sharded runs,
-    /// DESIGN.md §2.8). Sends are recorded on the *sender's* shard, and
-    /// every directed channel has exactly one sender, so the per-channel
-    /// identity maps of two shards are disjoint — the merge is a union,
-    /// never a conflict resolution. Violations concatenate and
-    /// re-emission counts add.
+    /// DESIGN.md §2.8). Sends are recorded on the *sender's* shard, so
+    /// the per-sender tables of two shards are disjoint and the merge
+    /// moves whole tables — a union, never a conflict resolution.
+    /// Violations concatenate and re-emission counts add.
     pub fn absorb(&mut self, other: Trace) {
-        for (channel, v) in other.dense {
-            let prev = self.dense.insert(channel, v);
-            debug_assert!(prev.is_none(), "channel {channel:?} recorded on two shards");
+        if self.dense.len() < other.dense.len() {
+            self.dense.resize_with(other.dense.len(), PeerMap::new);
+        }
+        for (src, (mine, theirs)) in self.dense.iter_mut().zip(other.dense).enumerate() {
+            if !theirs.is_empty() {
+                debug_assert!(mine.is_empty(), "sender P{src} recorded on two shards");
+                *mine = theirs;
+            }
         }
         for (k, id) in other.sparse {
             let prev = self.sparse.insert(k, id);
@@ -156,7 +160,13 @@ impl Trace {
 
     /// Number of distinct application messages observed.
     pub fn distinct_messages(&self) -> usize {
-        self.dense.values().map(Vec::len).sum::<usize>() + self.sparse.len()
+        let dense: usize = self
+            .dense
+            .iter()
+            .flat_map(PeerMap::values)
+            .map(Vec::len)
+            .sum();
+        dense + self.sparse.len()
     }
 
     pub fn is_consistent(&self) -> bool {

@@ -479,7 +479,7 @@ fn probe(
 
 /// [`Ctx::capture_inflight_into`] `set`, into a buffer that already holds
 /// a stale message: capture must replace its contents.
-fn inflight_within(ctx: &Ctx<'_, ProbeCtl>, set: &[Rank]) -> Vec<mps_sim::InFlightMsg> {
+fn inflight_within(ctx: &mut Ctx<'_, ProbeCtl>, set: &[Rank]) -> Vec<mps_sim::InFlightMsg> {
     let mut out = vec![crafted(9, 9, 9)];
     ctx.capture_inflight_into(set, &mut out);
     out
