@@ -4,7 +4,7 @@
 //! and compiled by [`macro_matrix`] — exercising the simulation hot path at
 //! the scale the paper's headline experiments need (thousand-rank
 //! stencils, clustered HydEE, checkpoint + failure recovery, and a
-//! long-horizon 4096-rank cell that only the streaming `RankProgram`
+//! long-horizon 4096-rank cell that only the lazy `GenProgram`
 //! representation makes memory-feasible). Each cell separates *setup*
 //! (workload generation, cluster resolution — not the engine) from the
 //! *timed simulation*, and reports events/second of simulated execution,

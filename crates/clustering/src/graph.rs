@@ -59,8 +59,8 @@ impl CommGraph {
     }
 
     /// Build statically from an application's programs, streaming each
-    /// rank's aggregated send totals — closed form for generated
-    /// programs, so graph extraction is O(ranks × pattern), not
+    /// rank's aggregated send totals — closed form over each program's
+    /// body, so graph extraction is O(ranks × pattern), not
     /// O(ranks × pattern × iterations). The `(src, dst, bytes)` triples
     /// are appended unsorted, then each row is sorted and merged once (a
     /// sorted insert per triple is quadratic in the degree on dense

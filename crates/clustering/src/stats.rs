@@ -27,8 +27,8 @@ impl ClusteringStats {
     }
 
     /// Evaluate a clustering against an application's declared traffic,
-    /// streaming aggregated send totals (closed form for generated
-    /// programs — no per-op walk).
+    /// streaming aggregated send totals (closed form over each program's
+    /// body — no per-op walk).
     pub fn evaluate(app: &Application, map: &ClusterMap) -> Self {
         assert_eq!(app.n_ranks(), map.n_ranks());
         let mut logged = 0u64;

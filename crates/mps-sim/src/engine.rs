@@ -31,7 +31,7 @@ use crate::failure::FailureModel;
 use crate::inbox::Inbox;
 use crate::metrics::Metrics;
 use crate::peer_map::PeerMap;
-use crate::program::{Application, Op, RankProgram};
+use crate::program::{Application, GenProgram, Op};
 use crate::protocol::{Protocol, SendAction, SendInfo};
 use crate::shards::{decide, merge, Decision, ShardState};
 use crate::trace::Trace;
@@ -561,7 +561,7 @@ pub struct Core<C> {
     ranks: Vec<RankState>,
     /// One lazy op stream per rank; `op_at(pc)` is pure in `pc`, which is
     /// what makes checkpoint/rollback seeks replay-exact (DESIGN.md §2.2).
-    programs: Vec<Arc<dyn RankProgram>>,
+    programs: Vec<Arc<GenProgram>>,
     config: SimConfig,
     /// `config.topology`, or a flat one over `config.network` when unset:
     /// every message is priced through this one path.

@@ -5,8 +5,8 @@
 //! is outstanding at a time, and after that event fires the model is
 //! asked for the next one (`next_after`). This replaces the materialised
 //! `&[FailureEvent]` list that earlier revisions threaded positionally
-//! through every run entry point, the same move `RankProgram` made for
-//! op streams (DESIGN.md §2.2) — and it is what admits *stochastic*,
+//! through every run entry point, the same move the lazy `GenProgram`
+//! made for op streams (DESIGN.md §2.2) — and it is what admits *stochastic*,
 //! *correlated* and *cascading* failure regimes, which no finite
 //! hand-written list can express.
 //!

@@ -1,8 +1,9 @@
 //! # mps-sim — a deterministic message-passing runtime simulator
 //!
 //! The substrate standing in for MPICH2 + a physical cluster in the HydEE
-//! reproduction (see `DESIGN.md`). It executes one op-stream program per
-//! rank over FIFO reliable channels priced by `net-model`, with:
+//! reproduction (see `DESIGN.md`). It executes one lazy op-stream
+//! program ([`GenProgram`]) per rank over FIFO reliable channels priced
+//! by `net-model`, with:
 //!
 //! * deterministic discrete-event execution (bit-for-bit reproducible),
 //! * MPI-like matching: source-specific receives and `MPI_ANY_SOURCE`
@@ -63,9 +64,7 @@ pub use peer_map::PeerMap;
 pub use policy::{
     CheckpointPolicy, CheckpointPolicyConfig, LogPressure, Periodic, PolicyObs, YoungDaly,
 };
-pub use program::{
-    Application, GenProgram, Op, OpStream, OpTemplate, Program, RankProgram, UnrolledProgram,
-};
+pub use program::{Application, GenProgram, Op, OpStream, OpTemplate};
 pub use protocol::{NullProtocol, Protocol, SendAction, SendDirective, SendInfo};
 pub use shards::{effective_shards, run_sharded, ShardSlice};
 pub use trace::Trace;
@@ -82,9 +81,7 @@ pub mod prelude {
     pub use crate::failure::{
         Cascade, CorrelatedCluster, FailureEvent, FailureModel, FixedSchedule, PoissonPerRank,
     };
-    pub use crate::program::{
-        Application, GenProgram, Op, OpStream, OpTemplate, Program, RankProgram, UnrolledProgram,
-    };
+    pub use crate::program::{Application, GenProgram, Op, OpStream, OpTemplate};
     pub use crate::protocol::{NullProtocol, Protocol, SendAction, SendDirective, SendInfo};
     pub use crate::types::{ChannelId, Endpoint, Message, PbMeta, Rank, Tag};
     pub use det_sim::{SimDuration, SimTime};

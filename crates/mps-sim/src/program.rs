@@ -9,20 +9,12 @@
 //!
 //! ## Representation (DESIGN.md §2.2)
 //!
-//! The engine addresses a program only through [`RankProgram`]: a lazy,
-//! random-access view `op_at(pc) -> Option<Op>` plus closed-form metadata.
-//! Two implementations ship:
-//!
-//! * [`UnrolledProgram`] — a materialised `Vec<Op>` with a chainable
-//!   builder. Used by hand-built tests and as the equivalence oracle for
-//!   the generators.
-//! * [`GenProgram`] — a per-iteration body of [`OpTemplate`]s repeated
-//!   `iterations` times, evaluated on demand. Memory is O(body), not
-//!   O(body × iterations); all workload generators produce these.
-//!
-//! `op_at` must be a **pure function of `pc`**: the engine executes by
-//! program counter and HydEE recovery seeks `pc` back to a checkpoint cut,
-//! so any hidden state in a program would break replay determinism.
+//! There is one representation, [`GenProgram`]: a per-iteration body of
+//! [`OpTemplate`]s repeated `iterations` times, read by the engine as a
+//! random-access view `op_at(pc) -> Option<Op>` with closed-form
+//! metadata. Memory is O(body), not O(body × iterations); every workload
+//! generator produces these. Hand-built tests use the one-iteration case
+//! through the chainable builder of [`Application::rank_mut`].
 
 use crate::types::{Rank, Tag};
 use det_sim::SimDuration;
@@ -43,88 +35,14 @@ pub enum Op {
     Compute { time: SimDuration },
 }
 
-/// A rank's program as the engine sees it: a random-access op stream.
-///
-/// The contract (DESIGN.md §2.2):
-///
-/// * **Purity in `pc`** — `op_at(pc)` returns the same op for the same
-///   `pc` for the lifetime of the value, with no interior mutation. The
-///   engine seeks freely: forward during execution, backward when HydEE
-///   rolls a rank's `pc` to a checkpoint cut and replays.
-/// * **Contiguity** — `op_at(pc)` is `Some` exactly for `pc < len()`.
-/// * Metadata (`send_count`, `bytes_sent`, …) equals what a full walk of
-///   `op_at(0..len())` would produce; implementations answer in closed
-///   form where they can.
-pub trait RankProgram: Send + Sync + std::fmt::Debug {
-    /// Total number of ops.
-    fn len(&self) -> usize;
-
-    /// The op at program counter `pc`, or `None` for `pc >= len()`.
-    fn op_at(&self, pc: usize) -> Option<Op>;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of send operations (the messages the rank emits in a
-    /// complete failure-free run).
-    fn send_count(&self) -> usize {
-        let (mut n, mut pc) = (0, 0);
-        while let Some(op) = self.op_at(pc) {
-            n += matches!(op, Op::Send { .. }) as usize;
-            pc += 1;
-        }
-        n
-    }
-
-    /// Number of receive operations (specific + wildcard).
-    fn recv_count(&self) -> usize {
-        let (mut n, mut pc) = (0, 0);
-        while let Some(op) = self.op_at(pc) {
-            n += matches!(op, Op::Recv { .. } | Op::RecvAny { .. }) as usize;
-            pc += 1;
-        }
-        n
-    }
-
-    /// Total bytes this program will send.
-    fn bytes_sent(&self) -> u64 {
-        let (mut total, mut pc) = (0u64, 0);
-        while let Some(op) = self.op_at(pc) {
-            if let Op::Send { bytes, .. } = op {
-                total += bytes;
-            }
-            pc += 1;
-        }
-        total
-    }
-
-    /// Stream aggregated send totals as `f(dst, bytes, messages)` chunks
-    /// (a destination may appear in several chunks). Clustering builds
-    /// communication graphs from this without walking every op.
-    fn send_summary(&self, f: &mut dyn FnMut(Rank, u64, u64)) {
-        let mut pc = 0;
-        while let Some(op) = self.op_at(pc) {
-            if let Op::Send { dst, bytes, .. } = op {
-                f(dst, bytes, 1);
-            }
-            pc += 1;
-        }
-    }
-
-    /// Approximate heap bytes resident for this representation (the
-    /// quantity the perf baseline's memory columns report).
-    fn resident_bytes(&self) -> u64;
-}
-
-/// Iterator over a [`RankProgram`]'s ops by walking `op_at`.
+/// Iterator over a [`GenProgram`]'s ops by walking `op_at`.
 pub struct OpStream<'a> {
-    prog: &'a dyn RankProgram,
+    prog: &'a GenProgram,
     pc: usize,
 }
 
 impl<'a> OpStream<'a> {
-    pub fn new(prog: &'a dyn RankProgram) -> Self {
+    pub fn new(prog: &'a GenProgram) -> Self {
         OpStream { prog, pc: 0 }
     }
 }
@@ -141,106 +59,6 @@ impl Iterator for OpStream<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rest = self.prog.len().saturating_sub(self.pc);
         (rest, Some(rest))
-    }
-}
-
-/// A materialised rank program: the `Vec<Op>`-backed implementation, with
-/// a chainable builder. Hand-built tests use it directly; generators keep
-/// `*_unrolled` constructors producing it as the equivalence oracle.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UnrolledProgram {
-    pub ops: Vec<Op>,
-}
-
-/// Historical name of [`UnrolledProgram`], kept for the builder-heavy
-/// test surface.
-pub type Program = UnrolledProgram;
-
-impl UnrolledProgram {
-    pub fn new() -> Self {
-        UnrolledProgram { ops: Vec::new() }
-    }
-
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    pub fn send(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
-        self.ops.push(Op::Send { dst, bytes, tag });
-        self
-    }
-
-    pub fn recv(&mut self, src: Rank, tag: Tag) -> &mut Self {
-        self.ops.push(Op::Recv { src, tag });
-        self
-    }
-
-    pub fn recv_any(&mut self, tag: Tag) -> &mut Self {
-        self.ops.push(Op::RecvAny { tag });
-        self
-    }
-
-    pub fn compute(&mut self, time: SimDuration) -> &mut Self {
-        self.ops.push(Op::Compute { time });
-        self
-    }
-
-    /// Number of send operations (the number of messages the rank will
-    /// emit in a complete failure-free run).
-    pub fn send_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, Op::Send { .. }))
-            .count()
-    }
-
-    /// Number of receive operations (specific + wildcard).
-    pub fn recv_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, Op::Recv { .. } | Op::RecvAny { .. }))
-            .count()
-    }
-
-    /// Total bytes this program will send.
-    pub fn bytes_sent(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                Op::Send { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-}
-
-impl RankProgram for UnrolledProgram {
-    fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    fn op_at(&self, pc: usize) -> Option<Op> {
-        self.ops.get(pc).copied()
-    }
-
-    fn send_count(&self) -> usize {
-        UnrolledProgram::send_count(self)
-    }
-
-    fn recv_count(&self) -> usize {
-        UnrolledProgram::recv_count(self)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        UnrolledProgram::bytes_sent(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        (self.ops.capacity() * std::mem::size_of::<Op>() + std::mem::size_of::<Self>()) as u64
     }
 }
 
@@ -307,14 +125,28 @@ impl OpTemplate {
     }
 }
 
-/// A lazy rank program: a per-iteration body repeated `iterations` times.
+/// A rank's program: a per-iteration body repeated `iterations` times.
 ///
 /// `op_at(pc)` decomposes `pc` into `(iteration, body position)` and
-/// evaluates the template — O(1), no materialisation. Metadata is closed
-/// form over the body. Memory is O(body) where the unrolled form is
-/// O(body × iterations): the representation that makes thousand-rank,
-/// long-horizon applications setup- and memory-free (DESIGN.md §2.2).
-#[derive(Debug, Clone, Default)]
+/// evaluates the template — O(1), no materialisation. Memory is O(body),
+/// not O(body × iterations): the representation that makes
+/// thousand-rank, long-horizon applications setup- and memory-free
+/// (DESIGN.md §2.2).
+///
+/// The contract the engine relies on:
+///
+/// * **Purity in `pc`** — `op_at(pc)` returns the same op for the same
+///   `pc` for the lifetime of the value. The engine seeks freely:
+///   forward during execution, backward when HydEE rolls a rank's `pc`
+///   to a checkpoint cut and replays.
+/// * **Contiguity** — `op_at(pc)` is `Some` exactly for `pc < len()`.
+/// * Metadata (`send_count`, `bytes_sent`, …) is closed form over the
+///   body and equals what a full walk of `op_at(0..len())` produces.
+///
+/// A one-iteration program doubles as an op-by-op builder
+/// ([`GenProgram::send`] and friends append `Fixed` templates), which is
+/// what [`Application::new`] hands out.
+#[derive(Debug, Clone)]
 pub struct GenProgram {
     body: Vec<OpTemplate>,
     iterations: usize,
@@ -333,22 +165,45 @@ impl GenProgram {
         }
     }
 
-    pub fn body(&self) -> &[OpTemplate] {
-        &self.body
+    /// Append `op` to a one-iteration program.
+    fn push(&mut self, op: Op) -> &mut Self {
+        assert!(
+            self.iterations == 1,
+            "op-by-op building needs a one-iteration program; this one repeats {} times",
+            self.iterations
+        );
+        self.body.push(OpTemplate::Fixed(op));
+        self
     }
 
-    pub fn iterations(&self) -> usize {
-        self.iterations
+    pub fn send(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
+        self.push(Op::Send { dst, bytes, tag })
     }
-}
 
-impl RankProgram for GenProgram {
-    fn len(&self) -> usize {
+    pub fn recv(&mut self, src: Rank, tag: Tag) -> &mut Self {
+        self.push(Op::Recv { src, tag })
+    }
+
+    pub fn recv_any(&mut self, tag: Tag) -> &mut Self {
+        self.push(Op::RecvAny { tag })
+    }
+
+    pub fn compute(&mut self, time: SimDuration) -> &mut Self {
+        self.push(Op::Compute { time })
+    }
+
+    /// Total number of ops.
+    pub fn len(&self) -> usize {
         self.body.len() * self.iterations
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The op at program counter `pc`, or `None` for `pc >= len()`.
     #[inline]
-    fn op_at(&self, pc: usize) -> Option<Op> {
+    pub fn op_at(&self, pc: usize) -> Option<Op> {
         if self.body.is_empty() {
             return None;
         }
@@ -359,7 +214,9 @@ impl RankProgram for GenProgram {
         Some(self.body[pc % self.body.len()].at(iter))
     }
 
-    fn send_count(&self) -> usize {
+    /// Number of send operations (the messages the rank emits in a
+    /// complete failure-free run).
+    pub fn send_count(&self) -> usize {
         self.body
             .iter()
             .filter(|t| matches!(t.base_op(), Op::Send { .. }))
@@ -367,7 +224,8 @@ impl RankProgram for GenProgram {
             * self.iterations
     }
 
-    fn recv_count(&self) -> usize {
+    /// Number of receive operations (specific + wildcard).
+    pub fn recv_count(&self) -> usize {
         self.body
             .iter()
             .filter(|t| matches!(t.base_op(), Op::Recv { .. } | Op::RecvAny { .. }))
@@ -375,7 +233,8 @@ impl RankProgram for GenProgram {
             * self.iterations
     }
 
-    fn bytes_sent(&self) -> u64 {
+    /// Total bytes this program will send.
+    pub fn bytes_sent(&self) -> u64 {
         self.body
             .iter()
             .map(|t| match t.base_op() {
@@ -386,7 +245,10 @@ impl RankProgram for GenProgram {
             * self.iterations as u64
     }
 
-    fn send_summary(&self, f: &mut dyn FnMut(Rank, u64, u64)) {
+    /// Stream aggregated send totals as `f(dst, bytes, messages)` chunks
+    /// (a destination may appear in several chunks). Clustering builds
+    /// communication graphs from this without walking every op.
+    pub fn send_summary(&self, mut f: impl FnMut(Rank, u64, u64)) {
         for t in &self.body {
             if let Op::Send { dst, bytes, .. } = t.base_op() {
                 f(dst, bytes * self.iterations as u64, self.iterations as u64);
@@ -394,107 +256,71 @@ impl RankProgram for GenProgram {
         }
     }
 
-    fn resident_bytes(&self) -> u64 {
+    /// Approximate heap bytes resident for this program (the quantity
+    /// the perf baseline's memory columns report).
+    pub fn resident_bytes(&self) -> u64 {
         (self.body.capacity() * std::mem::size_of::<OpTemplate>() + std::mem::size_of::<Self>())
             as u64
     }
 }
 
-/// One rank's slot in an [`Application`]: either a mutable builder
-/// program or a shared generated one.
-#[derive(Debug, Clone)]
-enum ProgSlot {
-    Unrolled(UnrolledProgram),
-    Gen(Arc<dyn RankProgram>),
-}
-
-impl ProgSlot {
-    fn prog(&self) -> &dyn RankProgram {
-        match self {
-            ProgSlot::Unrolled(p) => p,
-            ProgSlot::Gen(p) => &**p,
-        }
-    }
-}
-
-/// A complete application: one [`RankProgram`] per rank, rank r at
+/// A complete application: one [`GenProgram`] per rank, rank r at
 /// index r.
 #[derive(Debug, Clone, Default)]
 pub struct Application {
-    programs: Vec<ProgSlot>,
+    programs: Vec<Arc<GenProgram>>,
 }
 
 impl Application {
-    /// `n_ranks` empty builder programs: extend with [`Application::rank_mut`].
+    /// `n_ranks` empty one-iteration programs: extend with
+    /// [`Application::rank_mut`].
     pub fn new(n_ranks: usize) -> Self {
         Application {
-            programs: vec![ProgSlot::Unrolled(UnrolledProgram::new()); n_ranks],
-        }
-    }
-
-    /// Build from one generated program per rank (rank r = index r).
-    pub fn generated(programs: Vec<Arc<dyn RankProgram>>) -> Self {
-        Application {
-            programs: programs.into_iter().map(ProgSlot::Gen).collect(),
+            programs: (0..n_ranks)
+                .map(|_| Arc::new(GenProgram::new(Vec::new(), 1)))
+                .collect(),
         }
     }
 
     /// Build `n_ranks` generated programs from a per-rank constructor.
     pub fn generated_with(n_ranks: usize, mut f: impl FnMut(Rank) -> GenProgram) -> Self {
         Application {
-            programs: (0..n_ranks)
-                .map(|i| ProgSlot::Gen(Arc::new(f(Rank(i as u32))) as Arc<dyn RankProgram>))
-                .collect(),
+            programs: (0..n_ranks).map(|i| Arc::new(f(Rank(i as u32)))).collect(),
         }
     }
 
-    /// Reinterpret a *one-iteration* builder application as `iterations`
-    /// lazy repetitions of itself: each rank's op list becomes a
-    /// [`GenProgram`] body of iteration-invariant ops. The universal
-    /// generator transformation for workloads whose iterations are
-    /// identical (all NAS skeletons).
+    /// Reinterpret a *one-iteration* application as `iterations` lazy
+    /// repetitions of itself. The universal generator transformation for
+    /// workloads whose iterations are identical (all NAS skeletons).
     ///
-    /// Panics if any rank holds a generated (non-builder) program.
-    pub fn repeated(self, iterations: usize) -> Application {
-        Application {
-            programs: self
-                .programs
-                .into_iter()
-                .map(|slot| match slot {
-                    ProgSlot::Unrolled(p) => {
-                        ProgSlot::Gen(Arc::new(GenProgram::from_ops(p.ops, iterations))
-                            as Arc<dyn RankProgram>)
-                    }
-                    ProgSlot::Gen(_) => {
-                        panic!("Application::repeated requires builder (unrolled) programs")
-                    }
-                })
-                .collect(),
+    /// Panics unless every rank's program has exactly one iteration.
+    pub fn repeated(mut self, iterations: usize) -> Application {
+        for p in &mut self.programs {
+            let p = Arc::make_mut(p);
+            assert!(
+                p.iterations == 1,
+                "Application::repeated needs one-iteration programs"
+            );
+            p.body.shrink_to_fit();
+            p.iterations = iterations;
         }
+        self
     }
 
     pub fn n_ranks(&self) -> usize {
         self.programs.len()
     }
 
-    /// Mutable builder access to rank `r`'s program.
-    ///
-    /// Panics if the rank holds a generated program — generators produce
-    /// closed-form programs that cannot be extended op by op.
-    pub fn rank_mut(&mut self, r: Rank) -> &mut UnrolledProgram {
-        match &mut self.programs[r.idx()] {
-            ProgSlot::Unrolled(p) => p,
-            ProgSlot::Gen(_) => panic!(
-                "rank {} holds a generated RankProgram; op-by-op building only \
-                 applies to Application::new / unrolled programs",
-                r.0
-            ),
-        }
+    /// Mutable builder access to rank `r`'s program (copied first if
+    /// shared with a clone of this application). Appending panics unless
+    /// the program has exactly one iteration.
+    pub fn rank_mut(&mut self, r: Rank) -> &mut GenProgram {
+        Arc::make_mut(&mut self.programs[r.idx()])
     }
 
-    /// Rank `r`'s program through the streaming interface.
-    pub fn rank(&self, r: Rank) -> &dyn RankProgram {
-        self.programs[r.idx()].prog()
+    /// Rank `r`'s program.
+    pub fn rank(&self, r: Rank) -> &GenProgram {
+        &self.programs[r.idx()]
     }
 
     /// Iterate rank `r`'s ops lazily.
@@ -503,35 +329,23 @@ impl Application {
     }
 
     /// Surrender the per-rank programs to the engine.
-    pub(crate) fn into_programs(self) -> Vec<Arc<dyn RankProgram>> {
+    pub(crate) fn into_programs(self) -> Vec<Arc<GenProgram>> {
         self.programs
-            .into_iter()
-            .map(|slot| match slot {
-                ProgSlot::Unrolled(p) => Arc::new(p) as Arc<dyn RankProgram>,
-                ProgSlot::Gen(p) => p,
-            })
-            .collect()
     }
 
     /// Total bytes sent across all ranks in a failure-free run.
     pub fn total_bytes(&self) -> u64 {
-        self.programs.iter().map(|p| p.prog().bytes_sent()).sum()
+        self.programs.iter().map(|p| p.bytes_sent()).sum()
     }
 
     /// Total messages sent across all ranks in a failure-free run.
     pub fn total_messages(&self) -> u64 {
-        self.programs
-            .iter()
-            .map(|p| p.prog().send_count() as u64)
-            .sum()
+        self.programs.iter().map(|p| p.send_count() as u64).sum()
     }
 
     /// Heap bytes resident in the program representation itself.
     pub fn resident_bytes(&self) -> u64 {
-        self.programs
-            .iter()
-            .map(|p| p.prog().resident_bytes())
-            .sum()
+        self.programs.iter().map(|p| p.resident_bytes()).sum()
     }
 
     /// Heap bytes a fully materialised `Vec<Op>` representation of the
@@ -540,18 +354,17 @@ impl Application {
     pub fn unrolled_bytes(&self) -> u64 {
         self.programs
             .iter()
-            .map(|p| (p.prog().len() * std::mem::size_of::<Op>()) as u64)
+            .map(|p| (p.len() * std::mem::size_of::<Op>()) as u64)
             .sum()
     }
 
     /// Stream aggregated send totals across all ranks as
-    /// `f(src, dst, bytes, messages)` chunks (closed form for generated
-    /// programs; a channel may appear in several chunks).
+    /// `f(src, dst, bytes, messages)` chunks (closed form over each
+    /// program's body; a channel may appear in several chunks).
     pub fn send_summary(&self, mut f: impl FnMut(Rank, Rank, u64, u64)) {
-        for (src, slot) in self.programs.iter().enumerate() {
+        for (src, p) in self.programs.iter().enumerate() {
             let src = Rank(src as u32);
-            slot.prog()
-                .send_summary(&mut |dst, bytes, msgs| f(src, dst, bytes, msgs));
+            p.send_summary(|dst, bytes, msgs| f(src, dst, bytes, msgs));
         }
     }
 
@@ -620,7 +433,7 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let mut p = UnrolledProgram::new();
+        let mut p = GenProgram::new(Vec::new(), 1);
         p.send(Rank(1), 100, Tag(0))
             .recv(Rank(1), Tag(0))
             .compute(SimDuration::from_us(5))
@@ -791,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "generated RankProgram")]
+    #[should_panic(expected = "needs a one-iteration program")]
     fn building_onto_a_generated_rank_panics() {
         let mut app = Application::generated_with(1, |_| GenProgram::from_ops([], 0));
         app.rank_mut(Rank(0)).send(Rank(0), 1, Tag(0));

@@ -6,7 +6,9 @@
 //! * `max_cells` truncation caches the cells it *did* run without
 //!   poisoning later full runs;
 //! * the whole loop works over the real TCP protocol and the spool
-//!   directory, not just in-process calls.
+//!   directory, not just in-process calls;
+//! * a suite naming a workload that cannot be built fails its job with
+//!   the parse error and leaves the server serving.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -240,4 +242,46 @@ fn spool_directory_accepts_suites_and_stop_sentinel() {
     for dir in [&store_dir, &results_dir, &spool_dir] {
         std::fs::remove_dir_all(dir).unwrap();
     }
+}
+
+#[test]
+fn a_suite_naming_an_unbuildable_workload_fails_and_the_server_keeps_serving() {
+    let store_dir = tmpdir("unbuildable-store");
+    let store = Arc::new(RunStore::open(&store_dir).unwrap());
+    let server = Server::new(store, None);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run_tcp(listener).unwrap())
+    };
+    let client = Client::new(&addr);
+
+    // `stencil:0x5` used to parse and then panic the only worker thread
+    // while building, leaving every later job queued forever.
+    let bad = SUITE.replace("stencil:4x4:face=64:compute_us=5", "stencil:0x5");
+    let id = client.submit("bad", &bad, 0, None).unwrap();
+    let (status, records) = client.wait(id, Duration::from_secs(120)).unwrap();
+    assert_eq!(
+        status.get("state").and_then(telemetry::json::Value::as_str),
+        Some("failed")
+    );
+    let error = status
+        .get("error")
+        .and_then(telemetry::json::Value::as_str)
+        .unwrap();
+    assert!(error.contains("stencil needs at least 1 rank"), "{error}");
+    assert!(records.is_empty());
+
+    let id = client.submit("e2e", SUITE, 0, None).unwrap();
+    let (status, records) = client.wait(id, Duration::from_secs(120)).unwrap();
+    assert_eq!(
+        status.get("state").and_then(telemetry::json::Value::as_str),
+        Some("done")
+    );
+    assert_eq!(records.len(), 4);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    std::fs::remove_dir_all(&store_dir).unwrap();
 }

@@ -19,8 +19,8 @@ pub mod registry;
 pub mod stencil;
 
 pub use grid::{Grid2D, Grid3D};
-pub use master_worker::{master_worker, master_worker_unrolled, MasterWorkerConfig};
+pub use master_worker::{master_worker, MasterWorkerConfig};
 pub use nas::{NasBench, NasConfig};
-pub use netpipe::{ping_pong, ping_pong_unrolled, size_ladder};
+pub use netpipe::{ping_pong, size_ladder};
 pub use registry::WorkloadSpec;
-pub use stencil::{stencil_2d, stencil_2d_unrolled, StencilConfig};
+pub use stencil::{stencil_2d, StencilConfig};

@@ -103,37 +103,6 @@ pub fn master_worker(cfg: &MasterWorkerConfig) -> Application {
     })
 }
 
-/// The seed-era materialised builder, kept as the equivalence oracle for
-/// [`master_worker`].
-pub fn master_worker_unrolled(cfg: &MasterWorkerConfig) -> Application {
-    assert!(cfg.n_ranks >= 2, "need a master and at least one worker");
-    let master = Rank(0);
-    let workers = cfg.n_ranks - 1;
-    let mut app = Application::new(cfg.n_ranks);
-    for round in 0..cfg.tasks_per_worker {
-        let task_tag = Tag(2 * round as u32);
-        let result_tag = Tag(2 * round as u32 + 1);
-        // Master sends one task per worker...
-        for w in 1..cfg.n_ranks {
-            app.rank_mut(master)
-                .send(Rank(w as u32), cfg.task_bytes, task_tag);
-        }
-        // ...workers compute (staggered so completion order races)...
-        for w in 1..cfg.n_ranks {
-            let jitter = ((w * 37 + round * 13) % workers) as u64;
-            app.rank_mut(Rank(w as u32))
-                .recv(master, task_tag)
-                .compute(cfg.work_base * (1 + jitter))
-                .send(master, cfg.result_bytes, result_tag);
-        }
-        // ...master collects results first-come-first-served.
-        for _ in 1..cfg.n_ranks {
-            app.rank_mut(master).recv_any(result_tag);
-        }
-    }
-    app
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

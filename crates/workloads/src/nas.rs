@@ -142,22 +142,13 @@ impl NasBench {
         }
     }
 
-    /// Build the skeleton application (lazy per-rank generators).
+    /// Build the skeleton application: one iteration built op by op,
+    /// then repeated lazily `cfg.iterations` times. Every NAS skeleton's
+    /// iterations are op-identical, so its program is one iteration's
+    /// ops plus a repeat count — memory O(pattern), not
+    /// O(pattern × iterations).
     pub fn build(&self, cfg: &NasConfig) -> Application {
-        match self {
-            NasBench::BT => bt(cfg),
-            NasBench::CG => cg(cfg),
-            NasBench::FT => ft(cfg),
-            NasBench::LU => lu(cfg),
-            NasBench::MG => mg(cfg),
-            NasBench::SP => sp(cfg),
-        }
-    }
-
-    /// Seed-era materialised build — the equivalence oracle for
-    /// [`NasBench::build`] (`crates/workloads/tests/equivalence.rs`).
-    pub fn build_unrolled(&self, cfg: &NasConfig) -> Application {
-        let f = match self {
+        let iter = match self {
             NasBench::BT => bt_iter,
             NasBench::CG => cg_iter,
             NasBench::FT => ft_iter,
@@ -166,21 +157,9 @@ impl NasBench {
             NasBench::SP => sp_iter,
         };
         let mut app = Application::new(cfg.n_ranks);
-        for _ in 0..cfg.iterations {
-            f(cfg, &mut app);
-        }
-        app
+        iter(cfg, &mut app);
+        app.repeated(cfg.iterations)
     }
-}
-
-/// Build one iteration with `f`, then repeat it lazily `cfg.iterations`
-/// times: every NAS skeleton's iterations are op-identical, so its
-/// program is one iteration's ops plus a repeat count — memory
-/// O(pattern), not O(pattern × iterations).
-fn lazily(cfg: &NasConfig, f: fn(&NasConfig, &mut Application)) -> Application {
-    let mut one = Application::new(cfg.n_ranks);
-    f(cfg, &mut one);
-    one.repeated(cfg.iterations)
 }
 
 /// Skeleton generation parameters.
@@ -210,22 +189,10 @@ fn scaled(base: f64, scale: f64) -> u64 {
     (base * scale).max(1.0).round() as u64
 }
 
-/// Symmetric pairwise exchange: both partners send then receive.
-pub fn exchange(app: &mut Application, a: Rank, b: Rank, bytes: u64, tag: Tag) {
-    app.rank_mut(a).send(b, bytes, tag);
-    app.rank_mut(b).send(a, bytes, tag);
-    app.rank_mut(a).recv(b, tag);
-    app.rank_mut(b).recv(a, tag);
-}
-
 /// BT: square torus grid, per iteration three "sweeps" — E/W faces, N/S
 /// faces, and the two diagonal multipartition partners. 6 sends per rank
 /// per iteration. Calibration: 256 ranks x 6 x 40 iters x 12.87 MB
 /// ~ 791 GB.
-pub fn bt(cfg: &NasConfig) -> Application {
-    lazily(cfg, bt_iter)
-}
-
 fn bt_iter(cfg: &NasConfig, app: &mut Application) {
     let g = Grid2D::squarest(cfg.n_ranks);
     let face = scaled(12.87e6, cfg.size_scale);
@@ -254,10 +221,6 @@ fn bt_iter(cfg: &NasConfig, app: &mut Application) {
 
 /// SP: like BT but only the four axis neighbours and more, smaller
 /// exchanges. Calibration: 256 x 4 x 100 x 14.12 MB ~ 1446 GB.
-pub fn sp(cfg: &NasConfig) -> Application {
-    lazily(cfg, sp_iter)
-}
-
 fn sp_iter(cfg: &NasConfig, app: &mut Application) {
     let g = Grid2D::squarest(cfg.n_ranks);
     let face = scaled(14.12e6, cfg.size_scale);
@@ -289,10 +252,6 @@ fn sp_iter(cfg: &NasConfig, app: &mut Application) {
 /// one-cluster-per-row partitioning only the transpose traffic crosses
 /// clusters (~19 %, Table I). Calibration: 75 iters x 1264 msgs x
 /// 24.45 MB ~ 2318 GB.
-pub fn cg(cfg: &NasConfig) -> Application {
-    lazily(cfg, cg_iter)
-}
-
 fn cg_iter(cfg: &NasConfig, app: &mut Application) {
     let g = Grid2D::squarest(cfg.n_ranks);
     let bytes = scaled(24.45e6, cfg.size_scale);
@@ -357,10 +316,6 @@ fn cg_iter(cfg: &NasConfig, app: &mut Application) {
 /// paper's 2 clusters / 50 %). Calibration: 25 iters x 256x255 msgs x
 /// 512 KiB ~ 860 GB (class D FT's transpose chunk on 256 ranks is
 /// exactly 512 KiB).
-pub fn ft(cfg: &NasConfig) -> Application {
-    lazily(cfg, ft_iter)
-}
-
 fn ft_iter(cfg: &NasConfig, app: &mut Application) {
     let bytes = scaled(524_288.0, cfg.size_scale);
     let ranks: Vec<Rank> = (0..cfg.n_ranks as u32).map(Rank).collect();
@@ -375,10 +330,6 @@ fn ft_iter(cfg: &NasConfig, app: &mut Application) {
 /// ~2 KiB pencils, *not* scaled: their smallness is the point) and the
 /// mirrored upper waves, plus four larger halo exchanges. Calibration:
 /// halo ~6.5 MB x 4 x 50 iters x 256 + small traffic ~ 337 GB.
-pub fn lu(cfg: &NasConfig) -> Application {
-    lazily(cfg, lu_iter)
-}
-
 fn lu_iter(cfg: &NasConfig, app: &mut Application) {
     let g = Grid2D::squarest(cfg.n_ranks);
     let pencil = 2048u64; // fixed: LU's wavefront messages are small
@@ -446,10 +397,6 @@ fn lu_iter(cfg: &NasConfig, app: &mut Application) {
 /// MG: V-cycles on a 3D grid; each level exchanges the six faces with
 /// sizes shrinking 4x per level (areas), down then up. Calibration:
 /// 20 iters x ~12 exchanges x 256 x geometric(808 KB) ~ 66 GB.
-pub fn mg(cfg: &NasConfig) -> Application {
-    lazily(cfg, mg_iter)
-}
-
 fn mg_iter(cfg: &NasConfig, app: &mut Application) {
     let g = pick_grid3d(cfg.n_ranks);
     let base = scaled(970e3, cfg.size_scale);
@@ -565,7 +512,7 @@ mod tests {
     #[test]
     fn ft_is_all_to_all() {
         let cfg = NasConfig::test(8, 1);
-        let app = ft(&cfg);
+        let app = NasBench::FT.build(&cfg);
         // 8 ranks, 1 iteration: 8*7 messages.
         assert_eq!(app.total_messages(), 56);
     }
@@ -573,7 +520,7 @@ mod tests {
     #[test]
     fn lu_wavefront_pencils_stay_small() {
         let cfg = NasBench::LU.paper_config(0.01);
-        let app = lu(&cfg);
+        let app = NasBench::LU.build(&cfg);
         // Wavefront messages must remain 2 KiB regardless of scale: their
         // smallness drives LU's piggyback overhead in Figure 6.
         let has_pencil = (0..app.n_ranks()).any(|r| {
@@ -586,15 +533,15 @@ mod tests {
     #[test]
     fn cg_transpose_crosses_rows() {
         let cfg = NasConfig::test(16, 1);
-        let app = cg(&cfg);
+        let app = NasBench::CG.build(&cfg);
         run_ok(app);
     }
 
     #[test]
     fn skeletons_deterministic() {
         let cfg = NasConfig::test(16, 2);
-        let a = run_ok(bt(&cfg));
-        let b = run_ok(bt(&cfg));
+        let a = run_ok(NasBench::BT.build(&cfg));
+        let b = run_ok(NasBench::BT.build(&cfg));
         assert_eq!(a.digests, b.digests);
         assert_eq!(a.makespan, b.makespan);
     }

@@ -30,19 +30,6 @@ pub fn ping_pong(rounds: usize, bytes: u64) -> Application {
     })
 }
 
-/// The seed-era materialised builder, kept as the equivalence oracle for
-/// [`ping_pong`].
-pub fn ping_pong_unrolled(rounds: usize, bytes: u64) -> Application {
-    let mut app = Application::new(2);
-    for _ in 0..rounds {
-        app.rank_mut(Rank(0)).send(Rank(1), bytes, Tag(0));
-        app.rank_mut(Rank(1)).recv(Rank(0), Tag(0));
-        app.rank_mut(Rank(1)).send(Rank(0), bytes, Tag(0));
-        app.rank_mut(Rank(0)).recv(Rank(1), Tag(0));
-    }
-    app
-}
-
 /// NetPIPE-style message-size ladder from 1 B to `max` (inclusive-ish):
 /// for each power of two `p`, the sizes `p-1`, `p`, `p+1` (deduplicated,
 /// sorted). The perturbation points land on either side of MX packet

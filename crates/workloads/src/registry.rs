@@ -111,31 +111,6 @@ impl WorkloadSpec {
 
     /// Build the application this spec describes (lazy generators).
     pub fn build(&self) -> Application {
-        self.build_with(NasBench::build, ping_pong, stencil_2d, master_worker)
-    }
-
-    /// Build the seed-era materialised (`Vec<Op>`) form of this spec's
-    /// application — the equivalence oracle for [`WorkloadSpec::build`]
-    /// (`tests/equivalence.rs` checks op-for-op identity).
-    pub fn build_unrolled(&self) -> Application {
-        self.build_with(
-            NasBench::build_unrolled,
-            crate::netpipe::ping_pong_unrolled,
-            crate::stencil::stencil_2d_unrolled,
-            crate::master_worker::master_worker_unrolled,
-        )
-    }
-
-    /// Shared spec→config assembly for both build paths: only the final
-    /// constructors differ, so the generator and its oracle can never
-    /// drift in how spec fields map to workload configs.
-    fn build_with(
-        &self,
-        nas: fn(&NasBench, &NasConfig) -> Application,
-        netpipe: fn(usize, u64) -> Application,
-        stencil: fn(&StencilConfig) -> Application,
-        mw: fn(&MasterWorkerConfig) -> Application,
-    ) -> Application {
         match self {
             WorkloadSpec::Nas {
                 bench,
@@ -146,16 +121,16 @@ impl WorkloadSpec {
                 if let Some(it) = iterations {
                     cfg.iterations = *it;
                 }
-                nas(bench, &cfg)
+                bench.build(&cfg)
             }
-            WorkloadSpec::NetPipe { rounds, bytes } => netpipe(*rounds, *bytes),
+            WorkloadSpec::NetPipe { rounds, bytes } => ping_pong(*rounds, *bytes),
             WorkloadSpec::Stencil {
                 n_ranks,
                 iterations,
                 face_bytes,
                 compute_us,
                 wildcard_recv,
-            } => stencil(&StencilConfig {
+            } => stencil_2d(&StencilConfig {
                 n_ranks: *n_ranks,
                 iterations: *iterations,
                 face_bytes: *face_bytes,
@@ -165,7 +140,7 @@ impl WorkloadSpec {
             WorkloadSpec::MasterWorker {
                 n_ranks,
                 tasks_per_worker,
-            } => mw(&MasterWorkerConfig {
+            } => master_worker(&MasterWorkerConfig {
                 n_ranks: *n_ranks,
                 tasks_per_worker: *tasks_per_worker,
                 ..Default::default()
@@ -190,6 +165,9 @@ impl WorkloadSpec {
                 for opt in &rest[1..] {
                     if let Some(v) = opt.strip_prefix("scale=") {
                         scale = v.parse().map_err(|_| format!("`{s}`: bad scale `{v}`"))?;
+                        if !(scale.is_finite() && scale > 0.0) {
+                            return Err(format!("`{s}`: scale must be finite and > 0"));
+                        }
                     } else if let Some(v) = opt.strip_prefix("iters=") {
                         iterations =
                             Some(v.parse().map_err(|_| format!("`{s}`: bad iters `{v}`"))?);
@@ -227,6 +205,9 @@ impl WorkloadSpec {
                     .split_once('x')
                     .ok_or_else(|| format!("`{s}`: stencil needs <ranks>x<iters>"))?;
                 let n_ranks = r.parse().map_err(|_| format!("`{s}`: bad ranks `{r}`"))?;
+                if n_ranks < 1 {
+                    return Err(format!("`{s}`: stencil needs at least 1 rank"));
+                }
                 let iterations = i.parse().map_err(|_| format!("`{s}`: bad iters `{i}`"))?;
                 let mut spec = WorkloadSpec::Stencil {
                     n_ranks,
@@ -267,6 +248,11 @@ impl WorkloadSpec {
                     .ok_or_else(|| format!("`{s}`: master_worker needs a rank count"))?
                     .parse()
                     .map_err(|_| format!("`{s}`: bad rank count"))?;
+                if n_ranks < 2 {
+                    return Err(format!(
+                        "`{s}`: master_worker needs at least 2 ranks (a master and a worker)"
+                    ));
+                }
                 let mut tasks_per_worker = 4usize;
                 for opt in &rest[1..] {
                     if let Some(v) = opt.strip_prefix("tasks=") {
@@ -318,6 +304,31 @@ mod tests {
         assert!(WorkloadSpec::parse("nas:ZZ").is_err());
         assert!(WorkloadSpec::parse("netpipe:notasize").is_err());
         assert!(WorkloadSpec::parse("stencil:16").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_specs_that_cannot_build() {
+        for (name, rule) in [
+            ("stencil:0x5", "at least 1 rank"),
+            ("master_worker:1", "at least 2 ranks"),
+            ("master_worker:0:tasks=3", "at least 2 ranks"),
+            ("nas:FT:scale=nan", "finite and > 0"),
+            ("nas:FT:scale=inf", "finite and > 0"),
+            ("nas:CG:scale=0", "finite and > 0"),
+            ("nas:CG:scale=-0.5", "finite and > 0"),
+        ] {
+            let err = WorkloadSpec::parse(name).unwrap_err();
+            assert!(err.contains(rule), "{name}: {err}");
+        }
+        // The smallest valid instances build and run.
+        for name in [
+            "stencil:1x5",
+            "master_worker:2",
+            "nas:MG:scale=1e-9:iters=1",
+        ] {
+            let app = WorkloadSpec::parse(name).unwrap().build();
+            assert!(app.check_balance().is_ok(), "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::grid::Grid2D;
 use det_sim::SimDuration;
-use mps_sim::{Application, GenProgram, Op, OpTemplate, Rank, Tag};
+use mps_sim::{Application, GenProgram, Op, OpTemplate, Tag};
 
 /// Stencil parameters.
 #[derive(Debug, Clone)]
@@ -73,42 +73,6 @@ pub fn stencil_2d(cfg: &StencilConfig) -> Application {
         }
         GenProgram::new(body, cfg.iterations)
     })
-}
-
-/// The seed-era materialised builder, kept as the equivalence oracle for
-/// [`stencil_2d`] (`crates/workloads/tests/equivalence.rs`).
-pub fn stencil_2d_unrolled(cfg: &StencilConfig) -> Application {
-    let g = Grid2D::squarest(cfg.n_ranks);
-    let mut app = Application::new(cfg.n_ranks);
-    for it in 0..cfg.iterations {
-        // A per-iteration tag keeps wildcard receives from stealing a
-        // later iteration's face (see DESIGN.md on wildcard safety).
-        let tag = Tag(it as u32);
-        for i in 0..cfg.n_ranks {
-            app.rank_mut(Rank(i as u32)).compute(cfg.compute_per_iter);
-        }
-        for i in 0..cfg.n_ranks {
-            let me = Rank(i as u32);
-            for (dr, dc) in [(0, 1), (0, -1), (1, 0), (-1, 0)] {
-                if let Some(nb) = g.neighbor(me, dr, dc) {
-                    app.rank_mut(me).send(nb, cfg.face_bytes, tag);
-                }
-            }
-        }
-        for i in 0..cfg.n_ranks {
-            let me = Rank(i as u32);
-            for (dr, dc) in [(0, 1), (0, -1), (1, 0), (-1, 0)] {
-                if let Some(nb) = g.neighbor(me, dr, dc) {
-                    if cfg.wildcard_recv {
-                        app.rank_mut(me).recv_any(tag);
-                    } else {
-                        app.rank_mut(me).recv(nb, tag);
-                    }
-                }
-            }
-        }
-    }
-    app
 }
 
 #[cfg(test)]
