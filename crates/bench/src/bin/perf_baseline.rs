@@ -24,7 +24,8 @@
 //! * `--check FILE` — compare against a committed baseline; exit 1 on a
 //!   throughput regression beyond the tolerance or on any digest drift,
 //!   exit 2 (before running anything) if the file is malformed or a cell
-//!   lacks a gated field
+//!   lacks a gated field. Every gate prints its verdict before the exit,
+//!   the baseline's deterministic drift first
 //! * `--tolerance F` — fractional regression gate [default: 0.20]
 //!
 //! Run: `cargo run -p bench --release --bin perf_baseline`
@@ -135,28 +136,6 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("write {}: {e}", path.display())));
     println!("wrote {}", path.display());
 
-    // The §VI frontier acceptance: the adaptive Young/Daly policy must
-    // waste less of the machine than the aggressive fixed interval it
-    // shares the waste_frontier workload with.
-    let cell = |name: &str| {
-        report
-            .cells
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| fail(&format!("missing cell `{name}`")))
-    };
-    let fixed = cell("waste_frontier_fixed1ms");
-    let young = cell("waste_frontier_young_daly");
-    assert!(
-        young.waste_fraction < fixed.waste_fraction,
-        "young-daly waste {:.4} must beat fixed-1ms waste {:.4}",
-        young.waste_fraction,
-        fixed.waste_fraction
-    );
-    println!(
-        "waste frontier: young-daly {:.4} vs fixed-1ms {:.4}",
-        young.waste_fraction, fixed.waste_fraction
-    );
     println!(
         "aggregate: {:.0} events/sec over {} events, peak RSS {:.1} MB",
         report.aggregate_events_per_sec,
@@ -164,80 +143,116 @@ fn main() {
         report.peak_rss_bytes as f64 / 1e6
     );
 
-    // Telemetry must be free when off: every cell was also timed with a
-    // no-op recorder attached (digest equality asserted inside run_cell),
-    // and the aggregate slowdown has a hard ceiling.
-    if let Some(violation) = perf::check_recorder_overhead(&report, perf::MAX_RECORDER_OVERHEAD_PCT)
-    {
-        eprintln!("perf_baseline: {violation}");
-        std::process::exit(1);
+    // Every gate reports before any exit, deterministic drift against
+    // the baseline first, so a slow host cannot hide a digest change.
+    let mut failed = false;
+    let mut gate = |violations: Vec<String>, ok: String| {
+        if violations.is_empty() {
+            println!("{ok}");
+        }
+        for v in &violations {
+            eprintln!("perf_baseline: {v}");
+        }
+        failed |= !violations.is_empty();
+    };
+
+    if let Some((baseline_path, baseline)) = &baseline {
+        let violations = perf::check_against(baseline, &report, tolerance);
+        if !violations.is_empty() {
+            eprintln!("gate: FAILED against {}", baseline_path.display());
+        }
+        gate(
+            violations,
+            format!(
+                "gate: OK against {} ({} cells, tolerance {:.0}%)",
+                baseline_path.display(),
+                baseline.cells.len(),
+                tolerance * 100.0
+            ),
+        );
     }
-    println!(
-        "recorder overhead: {:+.2}% aggregate (gate {:.0}%)",
-        report.recorder_overhead_pct,
-        perf::MAX_RECORDER_OVERHEAD_PCT
+
+    let cell = |name: &str| {
+        report
+            .cells
+            .iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| fail(&format!("missing cell `{name}`")))
+    };
+
+    // The §VI frontier acceptance: the adaptive Young/Daly policy must
+    // waste less of the machine than the aggressive fixed interval it
+    // shares the waste_frontier workload with.
+    let fixed = cell("waste_frontier_fixed1ms");
+    let young = cell("waste_frontier_young_daly");
+    let frontier = format!(
+        "young-daly {:.4} vs fixed-1ms {:.4}",
+        young.waste_fraction, fixed.waste_fraction
+    );
+    gate(
+        if young.waste_fraction < fixed.waste_fraction {
+            Vec::new()
+        } else {
+            vec![format!(
+                "waste frontier: young-daly must waste less: {frontier}"
+            )]
+        },
+        format!("waste frontier: {frontier}"),
+    );
+
+    // The topology gate (DESIGN.md §2.9): the fat-tree sharded cell's
+    // per-link-class lookahead must need strictly fewer barrier rounds
+    // than the flat cell's scalar. Machine-independent, always enforced.
+    let par = cell(perf::PAR_SHARDED_CELL);
+    let tiered = cell(perf::PAR_TOPOLOGY_CELL);
+    gate(
+        perf::check_topology_lookahead(&report),
+        format!(
+            "topology lookahead: {} barrier rounds under `{}` vs {} flat (strict reduction)",
+            tiered.barrier_rounds, tiered.topology, par.barrier_rounds
+        ),
     );
 
     // The parallel-engine acceptance pair (DESIGN.md §2.8): digest
     // equality with the serial oracle is enforced everywhere; the
     // speedup floor only where the host has cores for the shards.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let par_violations = perf::check_parallel_speedup(&report, perf::MIN_PAR_SPEEDUP, cores);
-    if !par_violations.is_empty() {
-        for v in &par_violations {
-            eprintln!("perf_baseline: {v}");
-        }
-        std::process::exit(1);
-    }
-    let par = cell(perf::PAR_SHARDED_CELL);
     let serial = cell(perf::PAR_SERIAL_CELL);
-    if cores >= par.shards.max(1) as usize {
-        println!(
-            "parallel engine: {:.2}x at {} shards over {} barrier rounds (gate {:.1}x), digest equal",
-            par.events_per_sec / serial.events_per_sec.max(1e-9),
-            par.shards,
-            par.barrier_rounds,
-            perf::MIN_PAR_SPEEDUP
-        );
-    } else {
-        println!(
-            "parallel engine: digest equal at {} shards over {} barrier rounds; speedup gate \
-             skipped ({cores} core(s) detected, need {})",
-            par.shards, par.barrier_rounds, par.shards
-        );
-    }
-
-    // The topology gate (DESIGN.md §2.9): the fat-tree sharded cell's
-    // per-link-class lookahead must need strictly fewer barrier rounds
-    // than the flat cell's scalar. Machine-independent, always enforced.
-    let topo_violations = perf::check_topology_lookahead(&report);
-    if !topo_violations.is_empty() {
-        for v in &topo_violations {
-            eprintln!("perf_baseline: {v}");
-        }
-        std::process::exit(1);
-    }
-    let tiered = cell(perf::PAR_TOPOLOGY_CELL);
-    println!(
-        "topology lookahead: {} barrier rounds under `{}` vs {} flat (strict reduction)",
-        tiered.barrier_rounds, tiered.topology, par.barrier_rounds
+    gate(
+        perf::check_parallel_speedup(&report, perf::MIN_PAR_SPEEDUP, cores),
+        if cores >= par.shards.max(1) as usize {
+            format!(
+                "parallel engine: {:.2}x at {} shards over {} barrier rounds (gate {:.1}x), \
+                 digest equal",
+                par.events_per_sec / serial.events_per_sec.max(1e-9),
+                par.shards,
+                par.barrier_rounds,
+                perf::MIN_PAR_SPEEDUP
+            )
+        } else {
+            format!(
+                "parallel engine: digest equal at {} shards over {} barrier rounds; speedup \
+                 gate skipped ({cores} core(s) detected, need {})",
+                par.shards, par.barrier_rounds, par.shards
+            )
+        },
     );
 
-    if let Some((baseline_path, baseline)) = baseline {
-        let violations = perf::check_against(&baseline, &report, tolerance);
-        if violations.is_empty() {
-            println!(
-                "gate: OK against {} ({} cells, tolerance {:.0}%)",
-                baseline_path.display(),
-                baseline.cells.len(),
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!("gate: FAILED against {}", baseline_path.display());
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
+    // Telemetry must be free when off: every cell was also timed with a
+    // no-op recorder attached (digest equality asserted inside run_cell),
+    // and the aggregate slowdown has a hard ceiling.
+    gate(
+        perf::check_recorder_overhead(&report, perf::MAX_RECORDER_OVERHEAD_PCT)
+            .into_iter()
+            .collect(),
+        format!(
+            "recorder overhead: {:+.2}% aggregate (gate {:.0}%)",
+            report.recorder_overhead_pct,
+            perf::MAX_RECORDER_OVERHEAD_PCT
+        ),
+    );
+
+    if failed {
+        std::process::exit(1);
     }
 }

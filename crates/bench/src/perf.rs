@@ -585,11 +585,12 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
 }
 
 /// Compare `report` against a committed baseline. Returns the list of
-/// violations (empty = pass): schema-version mismatch, throughput
-/// regressions beyond `tolerance` (fractional, e.g. 0.20), and any
-/// digest drift.
+/// violations (empty = pass): schema-version mismatch, matrix, digest,
+/// containment and checkpoint drift first (all deterministic), then
+/// throughput regressions beyond `tolerance` (fractional, e.g. 0.20).
 pub fn check_against(baseline: &Baseline, report: &PerfReport, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
+    let mut slow = Vec::new();
     if baseline.schema_version != report.schema_version {
         violations.push(format!(
             "baseline schema_version {} != current {} — fields may have changed \
@@ -644,7 +645,7 @@ pub fn check_against(baseline: &Baseline, report: &PerfReport, tolerance: f64) -
         }
         let floor = base.events_per_sec * (1.0 - tolerance);
         if cur.events_per_sec < floor {
-            violations.push(format!(
+            slow.push(format!(
                 "cell `{}`: {:.0} events/s is below the gate ({:.0} = baseline {:.0} - {:.0}%)",
                 base.name,
                 cur.events_per_sec,
@@ -665,6 +666,7 @@ pub fn check_against(baseline: &Baseline, report: &PerfReport, tolerance: f64) -
             ));
         }
     }
+    violations.append(&mut slow);
     violations
 }
 
@@ -859,6 +861,19 @@ mod tests {
         let violations = check_against(&base, &drifted, 0.20);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("digest"));
+    }
+
+    #[test]
+    fn gate_lists_deterministic_drift_before_slowdowns() {
+        let base =
+            parse_baseline(&serde_json::to_string(&report_with("c", 1000.0, 7)).unwrap()).unwrap();
+        let mut current = report_with("c", 700.0, 8); // -30% and a new digest
+        current.cells[0].checkpoints = 5;
+        let violations = check_against(&base, &current, 0.20);
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("digest"), "{violations:?}");
+        assert!(violations[1].contains("checkpoint drift"), "{violations:?}");
+        assert!(violations[2].contains("events/s"), "{violations:?}");
     }
 
     #[test]

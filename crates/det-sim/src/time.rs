@@ -36,23 +36,23 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     #[inline]
-    pub fn from_ps(ps: u64) -> Self {
+    pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
     }
     #[inline]
-    pub fn from_ns(ns: u64) -> Self {
+    pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns * PS_PER_NS)
     }
     #[inline]
-    pub fn from_us(us: u64) -> Self {
+    pub const fn from_us(us: u64) -> Self {
         SimTime(us * PS_PER_US)
     }
     #[inline]
-    pub fn from_ms(ms: u64) -> Self {
+    pub const fn from_ms(ms: u64) -> Self {
         SimTime(ms * PS_PER_MS)
     }
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * PS_PER_S)
     }
 
@@ -97,23 +97,23 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     #[inline]
-    pub fn from_ps(ps: u64) -> Self {
+    pub const fn from_ps(ps: u64) -> Self {
         SimDuration(ps)
     }
     #[inline]
-    pub fn from_ns(ns: u64) -> Self {
+    pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns * PS_PER_NS)
     }
     #[inline]
-    pub fn from_us(us: u64) -> Self {
+    pub const fn from_us(us: u64) -> Self {
         SimDuration(us * PS_PER_US)
     }
     #[inline]
-    pub fn from_ms(ms: u64) -> Self {
+    pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
     }
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_S)
     }
     /// Build a duration from fractional nanoseconds, rounding to the nearest

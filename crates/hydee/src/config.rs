@@ -1,35 +1,23 @@
 //! HydEE protocol configuration.
 
-use det_sim::{SimDuration, SimTime};
+use det_sim::SimDuration;
 use mps_sim::{CheckpointPolicyConfig, ClusterMap};
-use net_model::{MemcpyModel, PiggybackPolicy, StableStorage};
+use net_model::StableStorage;
 
-/// Configuration of a HydEE instance.
+/// Configuration of a HydEE instance. Piggybacking and the sender-log
+/// copy use the `net_model` defaults ([`net_model::PiggybackPolicy`],
+/// [`net_model::MemcpyModel`]).
 #[derive(Debug, Clone)]
 pub struct HydeeConfig {
     /// Process clustering (coordinated checkpointing inside, logging
     /// between).
     pub clusters: ClusterMap,
-    /// How `(date, phase)` rides on application messages.
-    pub piggyback: PiggybackPolicy,
-    /// Cost model for the sender-based log copy.
-    pub memcpy: MemcpyModel,
     /// Stable storage for checkpoints.
     pub storage: StableStorage,
-    /// Interval between cluster checkpoints; `None` disables periodic
-    /// checkpointing (failure-free overhead runs) — the implicit initial
-    /// checkpoint at t=0 is always taken. Sugar for a
-    /// [`CheckpointPolicyConfig::Periodic`] policy; ignored when
-    /// [`HydeeConfig::checkpoint_policy`] is set.
-    pub checkpoint_interval: Option<SimDuration>,
-    /// Checkpoint-scheduling policy (DESIGN.md §2.4). `None`: derive
-    /// from `checkpoint_interval` (the historical sugar).
-    pub checkpoint_policy: Option<CheckpointPolicyConfig>,
-    /// Offset between consecutive clusters' checkpoint schedules
-    /// (staggering avoids the coordinated-checkpointing I/O burst, §VI).
-    pub checkpoint_stagger: SimDuration,
-    /// First checkpoint time (then every `checkpoint_interval`).
-    pub first_checkpoint: SimTime,
+    /// When each cluster checkpoints (DESIGN.md §2.4). The implicit
+    /// initial checkpoint at t=0 is always taken; `Disabled` (the
+    /// default, for failure-free overhead runs) schedules no others.
+    pub checkpoint_policy: CheckpointPolicyConfig,
     /// Garbage-collect logs/RPP on checkpoint acknowledgements (§III-E).
     pub gc: bool,
     /// Per-rank process image size written at each checkpoint (the
@@ -46,46 +34,18 @@ impl HydeeConfig {
     pub fn new(clusters: ClusterMap) -> Self {
         HydeeConfig {
             clusters,
-            piggyback: PiggybackPolicy::default(),
-            memcpy: MemcpyModel::default(),
             storage: StableStorage::default(),
-            checkpoint_interval: None,
-            checkpoint_policy: None,
-            checkpoint_stagger: SimDuration::from_ms(50),
-            first_checkpoint: SimTime::from_ms(100),
+            checkpoint_policy: CheckpointPolicyConfig::Disabled,
             gc: true,
             image_bytes: 64 << 20,
             restart_latency: SimDuration::from_ms(10),
         }
     }
 
-    /// Enable periodic checkpointing every `interval`.
-    pub fn with_checkpoints(mut self, interval: SimDuration) -> Self {
-        self.checkpoint_interval = Some(interval);
-        self
-    }
-
-    /// Schedule checkpoints with an explicit policy (overrides the
-    /// `checkpoint_interval` sugar).
+    /// Schedule checkpoints with `policy`.
     pub fn with_policy(mut self, policy: CheckpointPolicyConfig) -> Self {
-        self.checkpoint_policy = Some(policy);
+        self.checkpoint_policy = policy;
         self
-    }
-
-    /// The effective policy: `checkpoint_policy` if set, otherwise the
-    /// `checkpoint_interval` sugar ([`CheckpointPolicyConfig::Periodic`]
-    /// with this config's `first_checkpoint`/`checkpoint_stagger`, or
-    /// `Disabled` when the interval is `None`).
-    pub fn resolved_policy(&self) -> CheckpointPolicyConfig {
-        self.checkpoint_policy
-            .unwrap_or(match self.checkpoint_interval {
-                Some(interval) => CheckpointPolicyConfig::Periodic {
-                    interval,
-                    first: None,
-                    stagger: None,
-                },
-                None => CheckpointPolicyConfig::Disabled,
-            })
     }
 
     /// Override the per-rank image size.
@@ -106,36 +66,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interval_sugar_resolves_to_periodic() {
-        let cfg = HydeeConfig::new(ClusterMap::blocks(4, 2));
-        assert_eq!(cfg.resolved_policy(), CheckpointPolicyConfig::Disabled);
-        let cfg = cfg.with_checkpoints(SimDuration::from_ms(40));
-        assert_eq!(
-            cfg.resolved_policy(),
-            CheckpointPolicyConfig::Periodic {
-                interval: SimDuration::from_ms(40),
-                first: None,
-                stagger: None,
-            }
-        );
-        // An explicit policy wins over the sugar.
-        let cfg = cfg.with_policy(CheckpointPolicyConfig::YoungDaly {
+    fn builder_chains() {
+        let policy = CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_ms(500),
             first: None,
             stagger: None,
-        });
-        assert!(matches!(
-            cfg.resolved_policy(),
-            CheckpointPolicyConfig::YoungDaly { .. }
-        ));
-    }
-
-    #[test]
-    fn builder_chains() {
-        let cfg = HydeeConfig::new(ClusterMap::blocks(8, 2))
-            .with_checkpoints(SimDuration::from_ms(500))
+        };
+        let cfg = HydeeConfig::new(ClusterMap::blocks(8, 2));
+        assert_eq!(cfg.checkpoint_policy, CheckpointPolicyConfig::Disabled);
+        let cfg = cfg
+            .with_policy(policy)
             .with_image_bytes(1 << 20)
             .without_gc();
-        assert_eq!(cfg.checkpoint_interval, Some(SimDuration::from_ms(500)));
+        assert_eq!(cfg.checkpoint_policy, policy);
         assert_eq!(cfg.image_bytes, 1 << 20);
         assert!(!cfg.gc);
         assert_eq!(cfg.clusters.n_clusters(), 2);

@@ -33,12 +33,17 @@ use mps_sim::{
     CheckpointPolicy, Ctx, Endpoint, Message, PbMeta, PolicyObs, Protocol, Rank, SendAction,
     SendDirective, SendInfo,
 };
-use net_model::StorageLedger;
+use net_model::{MemcpyModel, PiggybackPolicy, StorageLedger};
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// The HydEE rollback-recovery protocol.
 pub struct Hydee {
     cfg: HydeeConfig,
+    /// How `(date, phase)` rides on application messages.
+    piggyback: PiggybackPolicy,
+    /// Cost model for the sender-based log copy.
+    memcpy: MemcpyModel,
     states: Vec<HydeeState>,
     checkpoints: Vec<Option<ClusterCheckpoint>>,
     rp: Option<RecoveryProcess>,
@@ -74,14 +79,14 @@ pub struct Hydee {
     /// as they do serially; mutation order stays deterministic because
     /// only timers touch the ledger and the sharded engine executes
     /// timers globally sequenced.
-    ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
-    /// Clusters this protocol instance schedules checkpoints for, in
-    /// ascending order — `None` for all of them, else the shard's cluster
-    /// set.
-    /// Per-cluster policy state only ever observes its own cluster, so
-    /// per-shard policy copies over disjoint owned sets are equivalent to
-    /// the serial single policy.
-    owned: Option<Vec<u32>>,
+    ledger: Arc<Mutex<StorageLedger>>,
+    /// Clusters this protocol instance captures and schedules
+    /// checkpoints for, in ascending order: every cluster in a serial
+    /// run, the shard's cluster set in a sharded one. Per-cluster policy
+    /// state only ever observes its own cluster, so per-shard policy
+    /// copies over disjoint owned sets are equivalent to the serial
+    /// single policy.
+    owned: Vec<u32>,
     /// Fire time of each cluster's armed checkpoint timer (`None`: no
     /// timer outstanding — at most one per cluster).
     armed: Vec<Option<SimTime>>,
@@ -98,18 +103,12 @@ pub struct Hydee {
 }
 
 impl Hydee {
+    /// A serial run's instance: its own storage ledger, every cluster
+    /// owned.
     pub fn new(cfg: HydeeConfig) -> Self {
-        let policy = cfg
-            .resolved_policy()
-            .build(cfg.first_checkpoint, cfg.checkpoint_stagger);
-        Self::with_policy(cfg, policy)
-    }
-
-    /// Construct with an explicit (possibly hand-built) policy object,
-    /// bypassing [`HydeeConfig::resolved_policy`].
-    pub fn with_policy(cfg: HydeeConfig, policy: Option<Box<dyn CheckpointPolicy>>) -> Self {
-        let ledger = std::sync::Arc::new(std::sync::Mutex::new(StorageLedger::new(cfg.storage)));
-        Self::build(cfg, policy, ledger, None)
+        let ledger = Arc::new(Mutex::new(StorageLedger::new(cfg.storage)));
+        let owned = (0..cfg.clusters.n_clusters() as u32).collect();
+        Self::sharded(cfg, ledger, owned)
     }
 
     /// Route this instance's storage ledger through an interconnect
@@ -127,28 +126,15 @@ impl Hydee {
     /// is shared by every shard, `owned` is the ascending cluster set this
     /// shard simulates (it captures the t=0 checkpoint and schedules
     /// checkpoint timers only for those).
-    pub fn sharded(
-        cfg: HydeeConfig,
-        ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
-        owned: Vec<u32>,
-    ) -> Self {
-        let policy = cfg
-            .resolved_policy()
-            .build(cfg.first_checkpoint, cfg.checkpoint_stagger);
+    pub fn sharded(cfg: HydeeConfig, ledger: Arc<Mutex<StorageLedger>>, owned: Vec<u32>) -> Self {
         debug_assert!(owned.is_sorted(), "owned clusters must ascend");
-        Self::build(cfg, policy, ledger, Some(owned))
-    }
-
-    fn build(
-        cfg: HydeeConfig,
-        policy: Option<Box<dyn CheckpointPolicy>>,
-        ledger: std::sync::Arc<std::sync::Mutex<StorageLedger>>,
-        owned: Option<Vec<u32>>,
-    ) -> Self {
+        let policy = cfg.checkpoint_policy.build();
         let n = cfg.clusters.n_ranks();
         let n_clusters = cfg.clusters.n_clusters();
         Hydee {
             cfg,
+            piggyback: PiggybackPolicy::default(),
+            memcpy: MemcpyModel::default(),
             states: (0..n).map(|_| HydeeState::new()).collect(),
             checkpoints: (0..n_clusters).map(|_| None).collect(),
             rp: None,
@@ -170,11 +156,6 @@ impl Hydee {
         }
     }
 
-    /// Is a recovery currently being orchestrated?
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
-    }
-
     /// Protocol state of one rank (for tests and instrumentation).
     pub fn state(&self, r: Rank) -> &HydeeState {
         &self.states[r.idx()]
@@ -186,14 +167,6 @@ impl Hydee {
 
     fn cluster_of(&self, r: Rank) -> u32 {
         self.cfg.clusters.cluster_of(r)
-    }
-
-    /// Does this instance schedule checkpoints for cluster `c`?
-    fn owns_cluster(&self, c: u32) -> bool {
-        match &self.owned {
-            None => true,
-            Some(owned) => owned.binary_search(&c).is_ok(),
-        }
     }
 
     /// Capture a consistent cut of cluster `c` (engine snapshots, protocol
@@ -471,19 +444,14 @@ impl Protocol for Hydee {
     }
 
     fn init(&mut self, ctx: &mut Ctx<'_, HydeeCtl>) {
-        // Implicit initial checkpoint of every cluster at t=0 (cost-free:
-        // nothing has executed, the "image" is the binary itself). Sharded
-        // instances capture and consult only their owned clusters.
-        for c in 0..self.cfg.clusters.n_clusters() as u32 {
-            if !self.owns_cluster(c) {
-                continue;
-            }
-            self.capture_cluster(ctx, c);
+        // Implicit initial checkpoint of every owned cluster at t=0
+        // (cost-free: nothing has executed, the "image" is the binary
+        // itself).
+        for i in 0..self.owned.len() {
+            self.capture_cluster(ctx, self.owned[i]);
         }
-        for c in 0..self.cfg.clusters.n_clusters() as u32 {
-            if self.owns_cluster(c) {
-                self.consult_policy(ctx, c, ctx.now());
-            }
+        for i in 0..self.owned.len() {
+            self.consult_policy(ctx, self.owned[i], ctx.now());
         }
     }
 
@@ -543,7 +511,7 @@ impl Protocol for Hydee {
                         action: SendAction::Suppress,
                         meta,
                         extra_wire_bytes: 0,
-                        extra_sender_time: self.cfg.memcpy.copy_time(info.bytes),
+                        extra_sender_time: self.memcpy.copy_time(info.bytes),
                     };
                 }
             }
@@ -553,7 +521,7 @@ impl Protocol for Hydee {
         // protocol message above it (§V-A).
         let extra_wire_bytes;
         let mut extra_sender_time;
-        match self.cfg.piggyback.apply(info.bytes) {
+        match self.piggyback.apply(info.bytes) {
             net_model::PiggybackCost::Inline { extra_bytes } => {
                 extra_wire_bytes = extra_bytes;
                 extra_sender_time = SimDuration::ZERO;
@@ -579,7 +547,7 @@ impl Protocol for Hydee {
             });
             ctx.log_append(info.bytes);
             let transit = ctx.wire_cost(info.bytes + extra_wire_bytes).transit;
-            extra_sender_time += self.cfg.memcpy.non_overlapped(info.bytes, transit);
+            extra_sender_time += self.memcpy.non_overlapped(info.bytes, transit);
             // Reactive policies (LogPressure) watch the log grow; the
             // cached flag keeps this off the hot path otherwise.
             if self.policy_reactive {
@@ -1064,11 +1032,12 @@ mod tests {
         let (app, clusters) = two_cluster_app(20);
         // An image size that does not divide evenly by the cluster size.
         let cfg = HydeeConfig::new(clusters)
-            .with_checkpoints(SimDuration::from_us(200))
+            .with_policy(mps_sim::CheckpointPolicyConfig::Periodic {
+                interval: SimDuration::from_us(200),
+                first: Some(SimTime::from_us(100)),
+                stagger: Some(SimDuration::from_us(50)),
+            })
             .with_image_bytes((1 << 20) + 7);
-        let mut cfg = cfg;
-        cfg.first_checkpoint = SimTime::from_us(100);
-        cfg.checkpoint_stagger = SimDuration::from_us(50);
         let sim = Sim::new(app, SimConfig::default(), Hydee::new(cfg));
         let (report, hydee) = sim.run_with_protocol();
         assert!(report.completed());
@@ -1082,35 +1051,52 @@ mod tests {
     }
 
     #[test]
-    fn periodic_policy_is_bit_for_bit_equal_to_the_interval_sugar() {
+    fn unset_first_and_stagger_run_bit_for_bit_as_100ms_and_50ms() {
         use mps_sim::CheckpointPolicyConfig;
-        let run = |cfg: HydeeConfig| {
-            let (app, _) = two_cluster_app(60);
-            let mut sim = Sim::new(app, SimConfig::default(), Hydee::new(cfg));
-            sim.inject_failure(SimTime::from_us(400), vec![Rank(2)]);
+        // `two_cluster_app`'s round with 5 ms of compute per rank first:
+        // the run outlasts the default first checkpoints (100 ms, then
+        // 150 ms for cluster 1) and the failure at 200 ms.
+        let app = || {
+            let mut app = Application::new(4);
+            for _ in 0..60 {
+                for r in 0..4 {
+                    app.rank_mut(Rank(r)).compute(SimDuration::from_ms(5));
+                }
+                app.rank_mut(Rank(0)).send(Rank(1), 512, Tag(0));
+                app.rank_mut(Rank(1)).recv(Rank(0), Tag(0));
+                app.rank_mut(Rank(1)).send(Rank(2), 2048, Tag(1));
+                app.rank_mut(Rank(2)).recv(Rank(1), Tag(1));
+                app.rank_mut(Rank(2)).send(Rank(3), 512, Tag(0));
+                app.rank_mut(Rank(3)).recv(Rank(2), Tag(0));
+                app.rank_mut(Rank(3)).send(Rank(0), 2048, Tag(1));
+                app.rank_mut(Rank(0)).recv(Rank(3), Tag(1));
+            }
+            app
+        };
+        let run = |first, stagger| {
+            let (_, clusters) = two_cluster_app(0);
+            let cfg = HydeeConfig::new(clusters)
+                .with_image_bytes(1 << 16)
+                .with_policy(CheckpointPolicyConfig::Periodic {
+                    interval: SimDuration::from_ms(20),
+                    first,
+                    stagger,
+                });
+            let mut sim = Sim::new(app(), SimConfig::default(), Hydee::new(cfg));
+            sim.inject_failure(SimTime::from_ms(200), vec![Rank(2)]);
             sim.run()
         };
-        let mk_cfg = || {
-            let (_, clusters) = two_cluster_app(60);
-            let mut cfg = HydeeConfig::new(clusters).with_image_bytes(1 << 16);
-            cfg.first_checkpoint = SimTime::from_us(100);
-            cfg.checkpoint_stagger = SimDuration::from_us(30);
-            cfg
-        };
-        let sugar = run(mk_cfg().with_checkpoints(SimDuration::from_us(150)));
-        let policy = run(mk_cfg().with_policy(CheckpointPolicyConfig::Periodic {
-            interval: SimDuration::from_us(150),
-            first: None,
-            stagger: None,
-        }));
-        assert!(sugar.completed() && policy.completed());
-        assert_eq!(sugar.digests, policy.digests);
+        let defaults = run(None, None);
+        let explicit = run(Some(SimTime::from_ms(100)), Some(SimDuration::from_ms(50)));
+        assert!(defaults.completed() && explicit.completed());
+        assert!(defaults.metrics.checkpoints > 0, "the run must checkpoint");
+        assert_eq!(defaults.digests, explicit.digests);
         assert_eq!(
-            sugar.makespan, policy.makespan,
+            defaults.makespan, explicit.makespan,
             "timing equal, not just state"
         );
-        assert_eq!(sugar.metrics.events, policy.metrics.events);
-        assert_eq!(sugar.metrics.checkpoints, policy.metrics.checkpoints);
+        assert_eq!(defaults.metrics.events, explicit.metrics.events);
+        assert_eq!(defaults.metrics.checkpoints, explicit.metrics.checkpoints);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
-    Application, Cascade, ClusterMap, FailureEvent, FixedSchedule, Rank, RunReport, Sim, SimConfig,
-    Tag,
+    Application, Cascade, CheckpointPolicyConfig, ClusterMap, FailureEvent, FixedSchedule, Rank,
+    RunReport, Sim, SimConfig, Tag,
 };
 
 const N: u32 = 12;
@@ -42,8 +42,6 @@ fn ring(rounds: usize) -> Application {
 
 fn config() -> HydeeConfig {
     let mut cfg = HydeeConfig::new(ClusterMap::blocks(N as usize, 4)).with_image_bytes(1 << 18);
-    cfg.first_checkpoint = SimTime::from_us(300);
-    cfg.checkpoint_stagger = SimDuration::from_us(100);
     cfg.restart_latency = SimDuration::from_us(100);
     cfg
 }
@@ -192,8 +190,11 @@ fn cascade_model_follow_ups_land_mid_recovery() {
 /// restore point while failures keep arriving.
 #[test]
 fn cascade_with_periodic_checkpoints() {
-    let mut cfg = config();
-    cfg = cfg.with_checkpoints(SimDuration::from_ms(2));
+    let cfg = config().with_policy(CheckpointPolicyConfig::Periodic {
+        interval: SimDuration::from_ms(2),
+        first: Some(SimTime::from_us(300)),
+        stagger: Some(SimDuration::from_us(100)),
+    });
     let golden = {
         let sim = Sim::new(ring(400), sim_config(), Hydee::new(cfg.clone()));
         sim.run()

@@ -10,8 +10,8 @@
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig, HydeeCtl, RecoveryRole};
 use mps_sim::{
-    Application, ClusterMap, Ctx, Endpoint, Message, Protocol, Rank, SendDirective, SendInfo, Sim,
-    SimConfig, Tag,
+    Application, CheckpointPolicyConfig, ClusterMap, Ctx, Endpoint, Message, Protocol, Rank,
+    SendDirective, SendInfo, Sim, SimConfig, Tag,
 };
 
 /// Hydee, recording member state after each checkpoint of cluster 0 and
@@ -171,10 +171,12 @@ fn app() -> Application {
 
 fn config() -> HydeeConfig {
     let mut cfg = HydeeConfig::new(ClusterMap::blocks(4, 2))
-        .with_checkpoints(SimDuration::from_us(200))
+        .with_policy(CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_us(200),
+            first: Some(SimTime::from_us(100)),
+            stagger: Some(SimDuration::from_us(100)),
+        })
         .with_image_bytes(1 << 10);
-    cfg.first_checkpoint = SimTime::from_us(100);
-    cfg.checkpoint_stagger = SimDuration::from_us(100);
     cfg.storage.latency = SimDuration::from_ns(100);
     cfg.restart_latency = SimDuration::from_us(5);
     cfg

@@ -12,7 +12,7 @@
 //! depends on scheduler interleaving — exactly the bug class the
 //! content-derived keyspace exists to rule out.
 
-use det_sim::{SimDuration, SimTime};
+use det_sim::SimDuration;
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
     Application, Cascade, ClusterMap, FailureEvent, FixedSchedule, Rank, RunReport, Sim, SimConfig,
@@ -43,8 +43,6 @@ fn ring(rounds: usize) -> Application {
 
 fn config() -> HydeeConfig {
     let mut cfg = HydeeConfig::new(ClusterMap::blocks(N as usize, 4)).with_image_bytes(1 << 18);
-    cfg.first_checkpoint = SimTime::from_us(300);
-    cfg.checkpoint_stagger = SimDuration::from_us(100);
     cfg.restart_latency = SimDuration::from_us(100);
     cfg
 }

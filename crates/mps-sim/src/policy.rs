@@ -29,9 +29,10 @@
 //!   stable identity string for records and baselines: equal
 //!   descriptors must imply equal schedules under equal observations.
 //!
-//! [`Periodic`] reproduces the historical `checkpoint_interval` +
-//! `checkpoint_stagger` semantics bit-for-bit and is the equivalence
-//! oracle for the policy-driven scheduling path.
+//! [`CheckpointPolicyConfig`] is the only checkpoint-scheduling setting
+//! a protocol configuration carries. A policy whose `first`/`stagger`
+//! are `None` starts at 100 ms and staggers clusters by 50 ms; those two
+//! defaults are defined here and nowhere else.
 
 use det_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
@@ -88,15 +89,21 @@ pub trait CheckpointPolicy: Send + Sync {
     }
 }
 
+/// First checkpoint time of a policy built with `first: None`.
+const DEFAULT_FIRST: SimTime = SimTime::from_ms(100);
+
+/// Offset between consecutive clusters' first checkpoints of a policy
+/// built with `stagger: None` (staggering avoids the coordinated
+/// checkpointing I/O burst, paper §VI).
+const DEFAULT_STAGGER: SimDuration = SimDuration::from_ms(50);
+
 // ---------------------------------------------------------------------------
-// Periodic — the equivalence oracle
+// Periodic
 // ---------------------------------------------------------------------------
 
 /// Fixed-interval scheduling with per-cluster stagger: cluster `c`'s
 /// first checkpoint at `first + stagger * c`, then one `interval` after
-/// each completion. Bit-for-bit equivalent to the historical
-/// `checkpoint_interval`/`checkpoint_stagger` timer arithmetic, kept as
-/// the equivalence oracle for the policy-driven path.
+/// each completion (as of the cluster's resume time).
 #[derive(Debug, Clone)]
 pub struct Periodic {
     interval: SimDuration,
@@ -254,14 +261,15 @@ impl CheckpointPolicy for LogPressure {
 pub enum CheckpointPolicyConfig {
     /// No periodic checkpoints (only the implicit one at t=0).
     Disabled,
-    /// Fixed interval; `first`/`stagger` default to the protocol's
-    /// configured values when `None`.
+    /// Fixed interval; `first`/`stagger` default to 100 ms and 50 ms
+    /// when `None`.
     Periodic {
         interval: SimDuration,
         first: Option<SimTime>,
         stagger: Option<SimDuration>,
     },
-    /// Young's optimal interval from measured cost × machine MTBF.
+    /// Young's optimal interval from measured cost × machine MTBF;
+    /// `first`/`stagger` default as for `Periodic`.
     YoungDaly {
         first: Option<SimTime>,
         stagger: Option<SimDuration>,
@@ -271,14 +279,9 @@ pub enum CheckpointPolicyConfig {
 }
 
 impl CheckpointPolicyConfig {
-    /// Resolve into the stateful policy for one run. `default_first` and
-    /// `default_stagger` come from the protocol configuration
-    /// (historically `first_checkpoint` / `checkpoint_stagger`).
-    pub fn build(
-        &self,
-        default_first: SimTime,
-        default_stagger: SimDuration,
-    ) -> Option<Box<dyn CheckpointPolicy>> {
+    /// Resolve into the stateful policy for one run (`None` for
+    /// `Disabled`).
+    pub fn build(&self) -> Option<Box<dyn CheckpointPolicy>> {
         match *self {
             CheckpointPolicyConfig::Disabled => None,
             CheckpointPolicyConfig::Periodic {
@@ -287,12 +290,12 @@ impl CheckpointPolicyConfig {
                 stagger,
             } => Some(Box::new(Periodic::new(
                 interval,
-                first.unwrap_or(default_first),
-                stagger.unwrap_or(default_stagger),
+                first.unwrap_or(DEFAULT_FIRST),
+                stagger.unwrap_or(DEFAULT_STAGGER),
             ))),
             CheckpointPolicyConfig::YoungDaly { first, stagger } => Some(Box::new(YoungDaly::new(
-                first.unwrap_or(default_first),
-                stagger.unwrap_or(default_stagger),
+                first.unwrap_or(DEFAULT_FIRST),
+                stagger.unwrap_or(DEFAULT_STAGGER),
             ))),
             CheckpointPolicyConfig::LogPressure { budget_bytes } => {
                 Some(Box::new(LogPressure::new(budget_bytes)))
@@ -409,33 +412,49 @@ mod tests {
 
     #[test]
     fn config_builds_the_matching_policy() {
-        let first = SimTime::from_ms(100);
-        let stagger = SimDuration::from_ms(50);
-        assert!(CheckpointPolicyConfig::Disabled
-            .build(first, stagger)
-            .is_none());
+        assert!(CheckpointPolicyConfig::Disabled.build().is_none());
         let p = CheckpointPolicyConfig::Periodic {
             interval: SimDuration::from_ms(10),
             first: None,
             stagger: None,
         }
-        .build(first, stagger)
+        .build()
         .unwrap();
         assert!(p.descriptor().starts_with("periodic:interval10000000000ps"));
         let y = CheckpointPolicyConfig::YoungDaly {
             first: Some(SimTime::from_ms(2)),
             stagger: None,
         }
-        .build(first, stagger)
+        .build()
         .unwrap();
         assert_eq!(
             y.descriptor(),
             "young-daly:first2000000000ps:stagger50000000000ps"
         );
         let l = CheckpointPolicyConfig::LogPressure { budget_bytes: 4096 }
-            .build(first, stagger)
+            .build()
             .unwrap();
         assert_eq!(l.descriptor(), "log-pressure:budget4096");
+    }
+
+    #[test]
+    fn unset_first_and_stagger_are_100ms_and_50ms() {
+        let explicit = (Some(SimTime::from_ms(100)), Some(SimDuration::from_ms(50)));
+        let descriptor = |c: CheckpointPolicyConfig| c.build().unwrap().descriptor();
+        let periodic = |(first, stagger)| CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_ms(10),
+            first,
+            stagger,
+        };
+        assert_eq!(
+            descriptor(periodic((None, None))),
+            descriptor(periodic(explicit))
+        );
+        let young_daly = |(first, stagger)| CheckpointPolicyConfig::YoungDaly { first, stagger };
+        assert_eq!(
+            descriptor(young_daly((None, None))),
+            descriptor(young_daly(explicit))
+        );
     }
 
     #[test]

@@ -17,15 +17,11 @@ use net_model::{StableStorage, StorageLedger, Topology};
 #[derive(Debug, Clone)]
 pub struct CoordinatedConfig {
     pub storage: StableStorage,
-    /// `None` = only the implicit initial checkpoint at t=0. Sugar for
-    /// a periodic [`CheckpointPolicyConfig`]; ignored when
-    /// `checkpoint_policy` is set.
-    pub checkpoint_interval: Option<SimDuration>,
     /// Checkpoint-scheduling policy (DESIGN.md §2.4). The machine is
-    /// one policy "cluster" (id 0). `None`: derive from
-    /// `checkpoint_interval`.
-    pub checkpoint_policy: Option<CheckpointPolicyConfig>,
-    pub first_checkpoint: SimTime,
+    /// one policy "cluster" (id 0), so a stagger never applies.
+    /// `Disabled` (the default) keeps only the implicit initial
+    /// checkpoint at t=0.
+    pub checkpoint_policy: CheckpointPolicyConfig,
     /// Per-rank process image bytes written at each checkpoint.
     pub image_bytes: u64,
     /// Fixed restart latency at rollback.
@@ -36,28 +32,10 @@ impl Default for CoordinatedConfig {
     fn default() -> Self {
         CoordinatedConfig {
             storage: StableStorage::default(),
-            checkpoint_interval: None,
-            checkpoint_policy: None,
-            first_checkpoint: SimTime::from_ms(100),
+            checkpoint_policy: CheckpointPolicyConfig::Disabled,
             image_bytes: 64 << 20,
             restart_latency: SimDuration::from_ms(10),
         }
-    }
-}
-
-impl CoordinatedConfig {
-    /// The effective policy (`checkpoint_policy` wins over the interval
-    /// sugar).
-    pub fn resolved_policy(&self) -> CheckpointPolicyConfig {
-        self.checkpoint_policy
-            .unwrap_or(match self.checkpoint_interval {
-                Some(interval) => CheckpointPolicyConfig::Periodic {
-                    interval,
-                    first: None,
-                    stagger: None,
-                },
-                None => CheckpointPolicyConfig::Disabled,
-            })
     }
 }
 
@@ -90,10 +68,7 @@ pub struct GlobalCoordinated {
 
 impl GlobalCoordinated {
     pub fn new(cfg: CoordinatedConfig) -> Self {
-        // Global coordination has no per-cluster stagger: one cluster.
-        let policy = cfg
-            .resolved_policy()
-            .build(cfg.first_checkpoint, SimDuration::ZERO);
+        let policy = cfg.checkpoint_policy.build();
         let ledger = StorageLedger::new(cfg.storage);
         GlobalCoordinated {
             cfg,
@@ -330,8 +305,14 @@ mod tests {
         // so the recovered run finishes sooner than restart-from-zero.
         let mk = |interval: Option<SimDuration>| {
             let mut cfg = CoordinatedConfig {
-                checkpoint_interval: interval,
-                first_checkpoint: SimTime::from_us(200),
+                checkpoint_policy: match interval {
+                    Some(interval) => CheckpointPolicyConfig::Periodic {
+                        interval,
+                        first: Some(SimTime::from_us(200)),
+                        stagger: None,
+                    },
+                    None => CheckpointPolicyConfig::Disabled,
+                },
                 // Keep checkpoints cheap relative to the interval.
                 image_bytes: 4 << 10,
                 restart_latency: SimDuration::from_us(10),
@@ -363,10 +344,10 @@ mod tests {
         use mps_sim::{CheckpointPolicyConfig, PoissonPerRank};
         let mk = |with_failures: bool| {
             let mut cfg = CoordinatedConfig {
-                checkpoint_policy: Some(CheckpointPolicyConfig::YoungDaly {
+                checkpoint_policy: CheckpointPolicyConfig::YoungDaly {
                     first: Some(SimTime::from_us(200)),
                     stagger: None,
-                }),
+                },
                 image_bytes: 4 << 10,
                 restart_latency: SimDuration::from_us(10),
                 ..Default::default()

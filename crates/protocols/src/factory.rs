@@ -22,7 +22,6 @@
 //! Factories are `Send + Sync` so a parallel executor (the `scenario`
 //! crate) can dispatch the same factory across worker threads.
 
-use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
     Application, CheckpointPolicyConfig, ClusterMap, FailureModel, FixedSchedule, NullProtocol,
@@ -175,8 +174,7 @@ where
 fn shared_ledger(params: &HydeeParams, req: &RunRequest) -> Arc<Mutex<StorageLedger>> {
     let topology = req.sim_config.resolved_topology(req.app.n_ranks());
     Arc::new(Mutex::new(
-        StorageLedger::new(params.config_for(req.clusters.clone()).storage)
-            .draining_through(&topology),
+        StorageLedger::new(params.storage.unwrap_or_default()).draining_through(&topology),
     ))
 }
 
@@ -198,15 +196,10 @@ impl ProtocolFactory for NativeFactory {
 /// [`RunRequest`]). `None` fields keep [`HydeeConfig`]'s defaults.
 #[derive(Debug, Clone, Default)]
 pub struct HydeeParams {
-    pub checkpoint_interval: Option<SimDuration>,
-    /// Checkpoint-scheduling policy (DESIGN.md §2.4); wins over the
-    /// `checkpoint_interval` sugar when set.
+    /// Checkpoint-scheduling policy (DESIGN.md §2.4).
     pub checkpoint_policy: Option<CheckpointPolicyConfig>,
     pub image_bytes: Option<u64>,
     pub storage: Option<StableStorage>,
-    pub first_checkpoint: Option<SimTime>,
-    pub checkpoint_stagger: Option<SimDuration>,
-    pub restart_latency: Option<SimDuration>,
     /// Disable the §III-E log garbage collection.
     pub disable_gc: bool,
 }
@@ -214,22 +207,14 @@ pub struct HydeeParams {
 impl HydeeParams {
     pub fn config_for(&self, clusters: ClusterMap) -> HydeeConfig {
         let mut cfg = HydeeConfig::new(clusters);
-        cfg.checkpoint_interval = self.checkpoint_interval;
-        cfg.checkpoint_policy = self.checkpoint_policy;
+        if let Some(p) = self.checkpoint_policy {
+            cfg.checkpoint_policy = p;
+        }
         if let Some(b) = self.image_bytes {
             cfg.image_bytes = b;
         }
         if let Some(s) = self.storage {
             cfg.storage = s;
-        }
-        if let Some(t) = self.first_checkpoint {
-            cfg.first_checkpoint = t;
-        }
-        if let Some(d) = self.checkpoint_stagger {
-            cfg.checkpoint_stagger = d;
-        }
-        if let Some(d) = self.restart_latency {
-            cfg.restart_latency = d;
         }
         cfg.gc = !self.disable_gc;
         cfg
@@ -337,6 +322,7 @@ impl ProtocolFactory for EventLoggedFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use det_sim::{SimDuration, SimTime};
     use mps_sim::{PoissonPerRank, Rank, Tag};
 
     fn ping_pong() -> Application {
@@ -418,7 +404,11 @@ mod tests {
         let factories: Vec<Box<dyn ProtocolFactory>> = vec![
             Box::new(NativeFactory),
             Box::new(HydeeFactory::new(HydeeParams {
-                checkpoint_interval: Some(SimDuration::from_us(200)),
+                checkpoint_policy: Some(CheckpointPolicyConfig::Periodic {
+                    interval: SimDuration::from_us(200),
+                    first: None,
+                    stagger: None,
+                }),
                 image_bytes: Some(1 << 14),
                 ..Default::default()
             })),

@@ -106,7 +106,11 @@ fn failure_request_runs_the_one_shard_case() {
     let clusters = ClusterMap::blocks(12, 3);
     let params = HydeeParams {
         image_bytes: Some(1 << 16),
-        checkpoint_interval: Some(SimDuration::from_us(300)),
+        checkpoint_policy: Some(CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_us(300),
+            first: None,
+            stagger: None,
+        }),
         ..Default::default()
     };
     let poisson =

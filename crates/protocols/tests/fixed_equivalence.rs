@@ -9,8 +9,8 @@
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
 use mps_sim::{
-    Application, ClusterMap, FailureEvent, FixedSchedule, NullProtocol, Rank, RunReport, Sim,
-    SimConfig, Tag,
+    Application, CheckpointPolicyConfig, ClusterMap, FailureEvent, FixedSchedule, NullProtocol,
+    Rank, RunReport, Sim, SimConfig, Tag,
 };
 use protocols::{CoordinatedConfig, GlobalCoordinated};
 
@@ -72,11 +72,13 @@ fn hydee_fixed_schedule_matches_inject_failure() {
     let clusters = ClusterMap::blocks(8, 2);
     let mk = |ckpt: Option<SimDuration>| {
         let mut cfg = HydeeConfig::new(clusters.clone()).with_image_bytes(1 << 18);
-        cfg.first_checkpoint = SimTime::from_us(300);
-        cfg.checkpoint_stagger = SimDuration::from_us(100);
         cfg.restart_latency = SimDuration::from_us(100);
         if let Some(interval) = ckpt {
-            cfg = cfg.with_checkpoints(interval);
+            cfg = cfg.with_policy(CheckpointPolicyConfig::Periodic {
+                interval,
+                first: Some(SimTime::from_us(300)),
+                stagger: Some(SimDuration::from_us(100)),
+            });
         }
         Hydee::new(cfg)
     };

@@ -757,7 +757,6 @@ impl ProtocolSpec {
             image_bytes: Some(image_bytes),
             storage: Some(storage.build()),
             disable_gc: !gc,
-            ..Default::default()
         }
     }
 
@@ -781,7 +780,7 @@ impl ProtocolSpec {
                 image_bytes,
                 storage,
             } => Box::new(CoordinatedFactory::new(CoordinatedConfig {
-                checkpoint_policy: Some(checkpoint.to_config()),
+                checkpoint_policy: checkpoint.to_config(),
                 image_bytes,
                 storage: storage.build(),
                 ..Default::default()

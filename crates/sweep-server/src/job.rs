@@ -3,21 +3,23 @@
 //! A *job* is one PR-7 suite file (the same text `sweep --suite` reads)
 //! plus a priority and an optional cell cap. Jobs move through
 //! `Queued → Running → {Done, Cancelled, Failed}` (DESIGN.md §2.7):
-//! `Failed` means the suite did not parse or every queued state was
-//! torn down by shutdown; `Cancelled` keeps the records of cells that
+//! `Failed` means the suite did not parse or a cell panicked (the error
+//! names the cell); `Cancelled` keeps the records of cells that
 //! finished before the flag was seen. The worker drains the queue
 //! highest-priority-first (FIFO within a priority) and runs each job's
 //! cells across cores through the shared [`RunStore`] — so two jobs
 //! racing on overlapping matrices never simulate a cell twice, and a
 //! re-submitted suite is pure cache hits.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use rayon::prelude::*;
-use scenario::{Executor, ProgressSink, ProgressSnapshot, RunCache, Suite};
+use scenario::{ProgressSink, ProgressSnapshot, RunCache, RunRecord, ScenarioSpec, Suite};
 use serde::Serialize;
 
 use crate::codec;
@@ -58,14 +60,6 @@ impl JobState {
             JobState::Cancelled => "cancelled",
             JobState::Failed => "failed",
         }
-    }
-
-    /// A terminal job never changes state again.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Cancelled | JobState::Failed
-        )
     }
 }
 
@@ -303,12 +297,19 @@ impl JobQueue {
     }
 }
 
-/// Run one claimed job's cells against the shared store. Pure function
-/// of (job, store) apart from the cancellation flag; the caller feeds
-/// the outcome back through [`JobQueue::finish`].
+/// Simulates one cell on a cache miss. The server's is
+/// [`scenario::Executor::run_one`]; tests substitute their own.
+pub type CellRunner = fn(&ScenarioSpec) -> RunRecord;
+
+/// Run one claimed job's cells against the shared store, simulating
+/// misses with `run_cell`. Pure function of (job, store) apart from the
+/// cancellation flag; the caller feeds the outcome back through
+/// [`JobQueue::finish`]. A panicking cell fails the job with an error
+/// naming the cell instead of unwinding into the caller.
 pub fn run_job(
     job: &ClaimedJob,
     store: &RunStore,
+    run_cell: CellRunner,
     progress: Option<&dyn ProgressSink>,
 ) -> JobOutcome {
     let suite = match Suite::parse_str(&job.spec.suite_text, &job.spec.origin) {
@@ -327,15 +328,24 @@ pub fn run_job(
     }
     job.counters.total.store(cells.len(), Ordering::Relaxed);
     let started = Instant::now();
-    let results: Vec<Option<String>> = cells
+    let results: Vec<Result<Option<String>, String>> = cells
         .par_iter()
         .map(|cell: &scenario::SuiteCell| {
             // The flag gates *dispatch*: cells already simulating finish
             // (and land in the store); cells not yet started are skipped.
             if job.cancel.load(Ordering::SeqCst) {
-                return None;
+                return Ok(None);
             }
-            let run = store.get_or_run(&cell.spec, &|| Executor::run_one(&cell.spec));
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                store.get_or_run(&cell.spec, &|| run_cell(&cell.spec))
+            }))
+            .map_err(|payload| {
+                format!(
+                    "cell `{}` panicked: {}",
+                    cell.spec.label(),
+                    panic_message(payload.as_ref())
+                )
+            })?;
             let raw = codec::encode_record(&run.record);
             if run.hit {
                 job.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -356,20 +366,41 @@ pub fn run_job(
                     eta_s: 0.0,
                 });
             }
-            Some(raw)
+            Ok(Some(raw))
         })
         .collect();
-    let cancelled = job.cancel.load(Ordering::SeqCst);
-    let records: Vec<String> = results.into_iter().flatten().collect();
+    let mut error = None;
+    let mut records = Vec::new();
+    for result in results {
+        match result {
+            Ok(raw) => records.extend(raw),
+            Err(why) => {
+                error.get_or_insert(why);
+            }
+        }
+    }
+    let state = if error.is_some() {
+        JobState::Failed
+    } else if job.cancel.load(Ordering::SeqCst) {
+        JobState::Cancelled
+    } else {
+        JobState::Done
+    };
     JobOutcome {
-        state: if cancelled {
-            JobState::Cancelled
-        } else {
-            JobState::Done
-        },
-        error: None,
+        state,
+        error,
         records,
     }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format
+/// string), or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]

@@ -32,6 +32,6 @@ pub mod server;
 pub mod store;
 
 pub use client::Client;
-pub use job::{run_job, JobQueue, JobSpec, JobState, JobStatus};
+pub use job::{run_job, CellRunner, JobQueue, JobSpec, JobState, JobStatus};
 pub use server::Server;
 pub use store::{LoadReport, RunStore, StoredRun};

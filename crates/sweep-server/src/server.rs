@@ -25,10 +25,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use scenario::JsonlProgress;
+use scenario::{Executor, JsonlProgress};
 use serde::write_json_str;
 
-use crate::job::{run_job, JobQueue, JobSpec, JobState};
+use crate::job::{run_job, CellRunner, JobQueue, JobSpec, JobState};
 use crate::store::RunStore;
 use telemetry::json::Value;
 
@@ -41,14 +41,27 @@ pub struct Server {
     queue: Arc<JobQueue>,
     /// Where finished jobs' record files land (`None`: memory only).
     results_dir: Option<PathBuf>,
+    /// Simulates each cache-miss cell.
+    run_cell: CellRunner,
 }
 
 impl Server {
     pub fn new(store: Arc<RunStore>, results_dir: Option<PathBuf>) -> Arc<Server> {
+        Self::with_cell_runner(store, results_dir, Executor::run_one)
+    }
+
+    /// A server that simulates cells with `run_cell` instead of
+    /// [`Executor::run_one`].
+    pub fn with_cell_runner(
+        store: Arc<RunStore>,
+        results_dir: Option<PathBuf>,
+        run_cell: CellRunner,
+    ) -> Arc<Server> {
         Arc::new(Server {
             store,
             queue: Arc::new(JobQueue::new()),
             results_dir,
+            run_cell,
         })
     }
 
@@ -74,6 +87,7 @@ impl Server {
                 let outcome = run_job(
                     &job,
                     &server.store,
+                    server.run_cell,
                     progress.as_ref().map(|p| p as &dyn scenario::ProgressSink),
                 );
                 if outcome.state == JobState::Done {

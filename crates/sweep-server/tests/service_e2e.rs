@@ -8,12 +8,15 @@
 //! * the whole loop works over the real TCP protocol and the spool
 //!   directory, not just in-process calls;
 //! * a suite naming a workload that cannot be built fails its job with
-//!   the parse error and leaves the server serving.
+//!   the parse error and leaves the server serving;
+//! * a cell that panics fails its job with an error naming the cell,
+//!   and the worker goes on to serve the next job.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use scenario::{Executor, ProtocolSpec, RunRecord, ScenarioSpec};
 use sweep_server::{run_job, Client, JobQueue, JobSpec, JobState, RunStore, Server};
 
 /// 2 protocols × 2 failure models = 4 cells.
@@ -68,7 +71,7 @@ fn run_inline(store: &RunStore, spec: JobSpec) -> (JobState, Vec<String>, usize,
     let queue = JobQueue::new();
     let id = queue.submit(spec);
     let claimed = queue.next_job().expect("job claimable");
-    let outcome = run_job(&claimed, store, None);
+    let outcome = run_job(&claimed, store, Executor::run_one, None);
     let state = outcome.state;
     let records = outcome.records.clone();
     queue.finish(id, outcome);
@@ -283,5 +286,54 @@ fn a_suite_naming_an_unbuildable_workload_fails_and_the_server_keeps_serving() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+    std::fs::remove_dir_all(&store_dir).unwrap();
+}
+
+/// Simulates every cell except HydEE ones, which panic.
+fn panics_on_hydee(spec: &ScenarioSpec) -> RunRecord {
+    if matches!(spec.protocol, ProtocolSpec::Hydee { .. }) {
+        panic!("injected fault");
+    }
+    Executor::run_one(spec)
+}
+
+#[test]
+fn a_panicking_cell_fails_its_job_and_the_worker_serves_the_next() {
+    let store_dir = tmpdir("panic-store");
+    let store = Arc::new(RunStore::open(&store_dir).unwrap());
+    let server = Server::with_cell_runner(store, None, panics_on_hydee);
+    let worker = server.spawn_worker();
+    let wait = |id: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        loop {
+            if let Some(result) = server.queue().result(id) {
+                break result;
+            }
+            assert!(std::time::Instant::now() < deadline, "job {id} never ended");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+
+    let id = server.queue().submit(job(SUITE, None));
+    let (status, _) = wait(id);
+    assert_eq!(status.state, "failed");
+    let error = status.error.expect("a failed job carries its error");
+    assert!(
+        error.starts_with("cell `stencil:4x4:face=64:compute_us=5/hydee/")
+            && error.ends_with("panicked: injected fault"),
+        "{error}"
+    );
+
+    // Native cells only, on a workload the first job never ran.
+    let native = SUITE
+        .replace("\"native\", \"hydee\"", "\"native\"")
+        .replace("compute_us=5", "compute_us=7");
+    let id = server.queue().submit(job(&native, None));
+    let (status, records) = wait(id);
+    assert_eq!(status.state, "done", "{:?}", status.error);
+    assert_eq!((status.misses, records.len()), (2, 2));
+
+    server.queue().shutdown();
+    worker.join().unwrap();
     std::fs::remove_dir_all(&store_dir).unwrap();
 }

@@ -2,7 +2,7 @@
 
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
-use mps_sim::{Application, ClusterMap, Rank, Sim, SimConfig, Tag};
+use mps_sim::{Application, CheckpointPolicyConfig, ClusterMap, Rank, Sim, SimConfig, Tag};
 
 fn chatter(n: u32, rounds: usize, bytes: u64) -> Application {
     // Ring with both directions so every channel carries traffic.
@@ -25,9 +25,11 @@ fn chatter(n: u32, rounds: usize, bytes: u64) -> Application {
 fn cfg_with_gc(gc: bool) -> HydeeConfig {
     let mut cfg = HydeeConfig::new(ClusterMap::blocks(8, 4))
         .with_image_bytes(1 << 16)
-        .with_checkpoints(SimDuration::from_us(150));
-    cfg.first_checkpoint = SimTime::from_us(150);
-    cfg.checkpoint_stagger = SimDuration::from_us(20);
+        .with_policy(CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_us(150),
+            first: Some(SimTime::from_us(150)),
+            stagger: Some(SimDuration::from_us(20)),
+        });
     cfg.restart_latency = SimDuration::from_us(20);
     if !gc {
         cfg = cfg.without_gc();

@@ -5,7 +5,7 @@
 
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
-use mps_sim::{Application, ClusterMap, Rank, Sim, SimConfig, Tag};
+use mps_sim::{Application, CheckpointPolicyConfig, ClusterMap, Rank, Sim, SimConfig, Tag};
 use proptest::prelude::*;
 
 /// One communication round: a set of directed edges. Ranks post all their
@@ -147,17 +147,18 @@ proptest! {
     }
 
     #[test]
-    fn random_apps_with_checkpoints_recover(
+    fn random_apps_recover_under_periodic_checkpoints(
         rounds in arb_rounds(6, 16),
         victim in 0u8..6,
         ckpt_us in 50u64..400,
         fail_us in 100u64..2000,
     ) {
         let map = cluster_map(6, 3);
-        let mut cfg = hydee_cfg(map.clone());
-        cfg.first_checkpoint = SimTime::from_us(ckpt_us);
-        cfg.checkpoint_stagger = SimDuration::from_us(7);
-        let cfg = cfg.with_checkpoints(SimDuration::from_us(ckpt_us));
+        let cfg = hydee_cfg(map.clone()).with_policy(CheckpointPolicyConfig::Periodic {
+            interval: SimDuration::from_us(ckpt_us),
+            first: Some(SimTime::from_us(ckpt_us)),
+            stagger: Some(SimDuration::from_us(7)),
+        });
         let golden = Sim::new(
             build_app(6, &rounds),
             SimConfig::default(),

@@ -11,7 +11,9 @@
 
 use det_sim::{SimDuration, SimTime};
 use hydee::{Hydee, HydeeConfig};
-use mps_sim::{Application, ClusterMap, Rank, RunReport, Sim, SimConfig, Tag};
+use mps_sim::{
+    Application, CheckpointPolicyConfig, ClusterMap, Rank, RunReport, Sim, SimConfig, Tag,
+};
 use workloads::{stencil_2d, NasBench, NasConfig, StencilConfig};
 
 fn run_hydee(
@@ -21,11 +23,13 @@ fn run_hydee(
     failures: Vec<(SimTime, Vec<Rank>)>,
 ) -> RunReport {
     let mut cfg = HydeeConfig::new(clusters).with_image_bytes(1 << 18);
-    cfg.first_checkpoint = SimTime::from_us(300);
-    cfg.checkpoint_stagger = SimDuration::from_us(100);
     cfg.restart_latency = SimDuration::from_us(100);
     if let Some(interval) = ckpt {
-        cfg = cfg.with_checkpoints(interval);
+        cfg = cfg.with_policy(CheckpointPolicyConfig::Periodic {
+            interval,
+            first: Some(SimTime::from_us(300)),
+            stagger: Some(SimDuration::from_us(100)),
+        });
     }
     let mut sim = Sim::new(app, SimConfig::default(), Hydee::new(cfg));
     for (at, ranks) in failures {
