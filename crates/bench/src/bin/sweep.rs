@@ -132,7 +132,8 @@ OPTIONS (comma-separate values; every combination runs):
                           JSON of the run (matrix must be exactly one
                           simulated cell); validated before writing
     --sample-out <f>      write virtual-time series samples (JSONL, 1 ms
-                          grid) of the run (single-cell matrices only)
+                          grid) of the run (single-cell matrices on one
+                          shard only)
     --out <dir>           results directory [default: $HYDEE_RESULTS_DIR or ./results]
     --name <name>         results file stem [default: sweep]
     --list                print known workload families/examples and exit
@@ -758,15 +759,28 @@ fn main() {
             specs.len()
         ));
     }
+    if sample_out.is_some() {
+        // A sampler reads whole-run gauges; on n shards it would see each
+        // shard's own, in wall-clock order.
+        let spec = &specs[0];
+        let n_clusters = spec.clusters.n_clusters_for(spec.workload.n_ranks());
+        if mps_sim::effective_shards(spec.shards, n_clusters).0 > 1 {
+            fail::<()>("--sample-out samples a one-shard run only; rerun with --shards 1");
+        }
+    }
     let started = std::time::Instant::now();
     let records = if tracing {
         // Recorders attach to a single run; the recorder-neutrality suite
         // guarantees the record is identical to an untraced run.
         let (span_rec, trace) = telemetry::SpanRecorder::new();
         let (sampler, samples) = telemetry::Sampler::new(det_sim::SimDuration::from_ms(1));
-        let fanout = telemetry::Fanout::new()
-            .push(Box::new(span_rec))
-            .push(Box::new(sampler));
+        let mut fanout = telemetry::Fanout::new();
+        if trace_out.is_some() {
+            fanout = fanout.push(Box::new(span_rec));
+        }
+        if sample_out.is_some() {
+            fanout = fanout.push(Box::new(sampler));
+        }
         let records = if sinks.is_empty() {
             vec![Executor::run_one_with_recorder(
                 &specs[0],

@@ -2,8 +2,7 @@
 //!
 //! Foundation for the hydee-rs workspace: a virtual clock with picosecond
 //! resolution, an event queue with *stable* (fully deterministic) ordering,
-//! deterministic pseudo-random number streams, and small online-statistics
-//! helpers used by the experiment harnesses.
+//! and deterministic pseudo-random number streams.
 //!
 //! Everything in this crate is deterministic by construction: given the same
 //! seed and the same sequence of API calls, a simulation replays
@@ -25,19 +24,16 @@
 pub mod fx;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use fx::{FxHashMap, FxHasher};
 pub use queue::{EventHandle, Scheduler};
 pub use rng::DetRng;
-pub use stats::{OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::queue::{EventHandle, Scheduler};
     pub use crate::rng::DetRng;
-    pub use crate::stats::{OnlineStats, Summary};
     pub use crate::time::{SimDuration, SimTime};
 }

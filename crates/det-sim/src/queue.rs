@@ -237,12 +237,6 @@ impl<E> Scheduler<E> {
         s.seq == e.seq && s.event.is_some()
     }
 
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_stale();
-        self.heap.first().map(Entry::time)
-    }
-
     /// `(time, key)` of the next live event, if any — the cross-shard
     /// comparison key the sharded engine uses to locate the globally
     /// minimal event without popping it.
@@ -284,7 +278,7 @@ impl<E> Scheduler<E> {
         self.free_head = idx;
     }
 
-    /// Drop stale entries sitting at the heap top so `peek_time` sees a
+    /// Drop stale entries sitting at the heap top so `peek_keyed` sees a
     /// live event.
     fn skip_stale(&mut self) {
         while let Some(e) = self.heap.first() {
@@ -425,7 +419,7 @@ mod tests {
         let h = s.schedule(SimTime::from_us(1), ());
         s.schedule(SimTime::from_us(5), ());
         s.cancel(h);
-        assert_eq!(s.peek_time(), Some(SimTime::from_us(5)));
+        assert_eq!(s.peek_keyed().map(|(t, _)| t), Some(SimTime::from_us(5)));
     }
 
     #[test]

@@ -105,15 +105,6 @@ impl DetRng {
         self.gen_f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Pick a uniformly random element of `slice`.
-    ///
-    /// # Panics
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "choose from empty slice");
-        &slice[self.gen_range(slice.len() as u64) as usize]
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {

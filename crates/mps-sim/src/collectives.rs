@@ -1,129 +1,15 @@
 //! Collective-operation lowering.
 //!
-//! MPI collectives are lowered to point-to-point operations at program
-//! build time, using the classic algorithms MPICH uses at these scales:
-//! binomial trees for broadcast/reduce, recursive doubling for allreduce,
-//! pairwise exchange for all-to-all and a dissemination barrier. All
+//! An MPI all-to-all is lowered to point-to-point operations at program
+//! build time, as the pairwise exchange MPICH uses at these scales. All
 //! receives are source-specific, so per-channel FIFO makes repeated
-//! collectives on the same tag safe.
+//! exchanges on the same tag safe.
 //!
 //! The participant list is any subset of ranks (a "communicator"); indices
 //! below are positions within that list.
 
 use crate::program::Application;
 use crate::types::{Rank, Tag};
-
-/// Broadcast `bytes` from `root` (member of `ranks`) to all of `ranks`
-/// via a binomial tree.
-pub fn bcast(app: &mut Application, ranks: &[Rank], root: Rank, bytes: u64, tag: Tag) {
-    let n = ranks.len();
-    if n <= 1 {
-        return;
-    }
-    let root_pos = pos_of(ranks, root);
-    // Virtual index: rotate so the root is 0.
-    let vrank = |pos: usize| (pos + n - root_pos) % n;
-    let actual = |v: usize| ranks[(v + root_pos) % n];
-    #[allow(clippy::needless_range_loop)] // pos feeds both vrank() and ranks[]
-    for pos in 0..n {
-        let v = vrank(pos);
-        let me = ranks[pos];
-        // Receive from parent (highest set bit cleared), then forward to
-        // children in increasing mask order.
-        if v != 0 {
-            // Parent = v with its highest set bit cleared.
-            app.rank_mut(me).recv(actual(v ^ highest_bit(v)), tag);
-        }
-        let mut mask = if v == 0 { 1 } else { highest_bit(v) << 1 };
-        while mask < n {
-            let child = v | mask;
-            if child < n && (v & mask) == 0 {
-                app.rank_mut(me).send(actual(child), bytes, tag);
-            }
-            if v & mask != 0 {
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-}
-
-fn highest_bit(v: usize) -> usize {
-    debug_assert!(v > 0);
-    1 << (usize::BITS - 1 - v.leading_zeros())
-}
-
-fn pos_of(ranks: &[Rank], r: Rank) -> usize {
-    ranks
-        .iter()
-        .position(|&x| x == r)
-        .expect("root must be a member of the communicator")
-}
-
-/// Reduce `bytes` from all of `ranks` to `root` via a binomial tree
-/// (mirror image of [`bcast`]).
-pub fn reduce(app: &mut Application, ranks: &[Rank], root: Rank, bytes: u64, tag: Tag) {
-    let n = ranks.len();
-    if n <= 1 {
-        return;
-    }
-    let root_pos = pos_of(ranks, root);
-    let vrank = |pos: usize| (pos + n - root_pos) % n;
-    let actual = |v: usize| ranks[(v + root_pos) % n];
-    #[allow(clippy::needless_range_loop)] // pos feeds both vrank() and ranks[]
-    for pos in 0..n {
-        let v = vrank(pos);
-        let me = ranks[pos];
-        // Receive from children (in increasing mask order), then send the
-        // partial result to the parent.
-        let mut mask = 1usize;
-        while mask < n {
-            if v & mask != 0 {
-                break;
-            }
-            let child = v | mask;
-            if child < n {
-                app.rank_mut(me).recv(actual(child), tag);
-            }
-            mask <<= 1;
-        }
-        if v != 0 {
-            // Parent in the reduce tree = v with its LOWEST set bit cleared
-            // (the node that will absorb this partial result at the step
-            // where this node drops out).
-            app.rank_mut(me).send(actual(v & (v - 1)), bytes, tag);
-        }
-    }
-}
-
-/// Allreduce of `bytes` across `ranks`.
-///
-/// Power-of-two counts use recursive doubling (log2 n exchange rounds);
-/// other counts fall back to reduce-then-broadcast rooted at the first
-/// member.
-pub fn allreduce(app: &mut Application, ranks: &[Rank], bytes: u64, tag: Tag) {
-    let n = ranks.len();
-    if n <= 1 {
-        return;
-    }
-    if n.is_power_of_two() {
-        let mut mask = 1usize;
-        while mask < n {
-            for (pos, &me) in ranks.iter().enumerate() {
-                let partner = ranks[pos ^ mask];
-                app.rank_mut(me).send(partner, bytes, tag);
-            }
-            for (pos, &me) in ranks.iter().enumerate() {
-                let partner = ranks[pos ^ mask];
-                app.rank_mut(me).recv(partner, tag);
-            }
-            mask <<= 1;
-        }
-    } else {
-        reduce(app, ranks, ranks[0], bytes, tag);
-        bcast(app, ranks, ranks[0], bytes, tag);
-    }
-}
 
 /// All-to-all personalised exchange: every member sends `bytes` to every
 /// other member. Sends are posted first (non-blocking in the engine), then
@@ -141,26 +27,6 @@ pub fn alltoall(app: &mut Application, ranks: &[Rank], bytes: u64, tag: Tag) {
         for shift in 1..n {
             let src = ranks[(pos + n - shift) % n];
             app.rank_mut(me).recv(src, tag);
-        }
-    }
-}
-
-/// Dissemination barrier: ceil(log2 n) rounds of 1-byte tokens.
-pub fn barrier(app: &mut Application, ranks: &[Rank], tag: Tag) {
-    let n = ranks.len();
-    if n <= 1 {
-        return;
-    }
-    let rounds = usize::BITS - (n - 1).leading_zeros();
-    for round in 0..rounds {
-        let dist = 1usize << round;
-        for (pos, &me) in ranks.iter().enumerate() {
-            let to = ranks[(pos + dist) % n];
-            app.rank_mut(me).send(to, 1, tag);
-        }
-        for (pos, &me) in ranks.iter().enumerate() {
-            let from = ranks[(pos + n - dist) % n];
-            app.rank_mut(me).recv(from, tag);
         }
     }
 }
@@ -183,58 +49,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_message_count() {
-        for n in [2usize, 3, 4, 7, 8, 16, 17] {
-            let mut app = Application::new(n);
-            bcast(&mut app, &ranks(n as u32), Rank(0), 100, Tag(0));
-            assert!(app.check_balance().is_ok(), "n={n}");
-            let report = run(app);
-            // A broadcast tree delivers exactly n-1 messages.
-            assert_eq!(report.metrics.app_messages, (n - 1) as u64, "n={n}");
-        }
-    }
-
-    #[test]
-    fn bcast_nonzero_root() {
-        let mut app = Application::new(5);
-        bcast(&mut app, &ranks(5), Rank(3), 64, Tag(2));
-        assert!(app.check_balance().is_ok());
-        let report = run(app);
-        assert_eq!(report.metrics.app_messages, 4);
-    }
-
-    #[test]
-    fn reduce_message_count() {
-        for n in [2usize, 4, 6, 8, 9] {
-            let mut app = Application::new(n);
-            reduce(&mut app, &ranks(n as u32), Rank(0), 100, Tag(0));
-            assert!(app.check_balance().is_ok(), "n={n}");
-            let report = run(app);
-            assert_eq!(report.metrics.app_messages, (n - 1) as u64, "n={n}");
-        }
-    }
-
-    #[test]
-    fn allreduce_power_of_two_message_count() {
-        for n in [2usize, 4, 8, 16] {
-            let mut app = Application::new(n);
-            allreduce(&mut app, &ranks(n as u32), 256, Tag(0));
-            let report = run(app);
-            // Recursive doubling: n messages per round, log2(n) rounds.
-            let expect = (n * n.trailing_zeros() as usize) as u64;
-            assert_eq!(report.metrics.app_messages, expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn allreduce_non_power_of_two_completes() {
-        let mut app = Application::new(6);
-        allreduce(&mut app, &ranks(6), 256, Tag(0));
-        let report = run(app);
-        assert_eq!(report.metrics.app_messages, 2 * 5);
-    }
-
-    #[test]
     fn alltoall_message_count() {
         for n in [2usize, 3, 5, 8] {
             let mut app = Application::new(n);
@@ -245,23 +59,18 @@ mod tests {
     }
 
     #[test]
-    fn barrier_completes_and_synchronises() {
-        for n in [2usize, 3, 4, 9, 16] {
-            let mut app = Application::new(n);
-            barrier(&mut app, &ranks(n as u32), Tag(0));
-            run(app);
-        }
-    }
-
-    #[test]
     fn collectives_on_subcommunicator() {
         // Members 1,3,5 of a 6-rank app; ranks 0,2,4 stay idle.
         let members = vec![Rank(1), Rank(3), Rank(5)];
         let mut app = Application::new(6);
-        bcast(&mut app, &members, Rank(3), 32, Tag(0));
-        allreduce(&mut app, &members, 32, Tag(1));
-        barrier(&mut app, &members, Tag(2));
-        run(app);
+        alltoall(&mut app, &members, 32, Tag(0));
+        alltoall(&mut app, &members, 32, Tag(1));
+        for idle in [0, 2, 4] {
+            assert!(app.rank(Rank(idle)).is_empty(), "P{idle} took part");
+        }
+        assert!(app.check_balance().is_ok());
+        let report = run(app);
+        assert_eq!(report.metrics.app_messages, 2 * 3 * 2);
     }
 
     #[test]
@@ -269,8 +78,9 @@ mod tests {
         // FIFO per channel means reusing a tag across iterations is safe.
         let mut app = Application::new(8);
         for _ in 0..5 {
-            allreduce(&mut app, &ranks(8), 128, Tag(0));
+            alltoall(&mut app, &ranks(8), 128, Tag(0));
         }
-        run(app);
+        let report = run(app);
+        assert_eq!(report.metrics.app_messages, 5 * 8 * 7);
     }
 }

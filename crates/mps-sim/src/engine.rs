@@ -49,9 +49,6 @@ pub struct SimConfig {
     pub network: Arc<dyn NetworkModel>,
     /// Hard cap on processed events (runaway guard).
     pub max_events: u64,
-    /// Bytes assumed for control messages whose logical payload is small
-    /// (rollback notifications, phase reports, ...).
-    pub ctl_bytes_default: u64,
     /// Seeded delivery-order perturbation (DESIGN.md §2.8): when set, the
     /// tie-break key of same-timestamp message arrivals is replaced by a
     /// seeded hash, deterministically permuting the order in which
@@ -90,12 +87,15 @@ impl Default for SimConfig {
             det_mode: DetMode::SendDeterministic,
             network: Arc::new(MxModel::default()),
             max_events: 500_000_000,
-            ctl_bytes_default: 32,
             perturb_seed: None,
             topology: None,
         }
     }
 }
+
+/// Bytes charged for a control message sent with `bytes == 0`: one whose
+/// logical payload is small (rollback notifications, phase reports, ...).
+const CTL_BYTES_DEFAULT: u64 = 32;
 
 /// Tie-break key space for same-timestamp events (DESIGN.md §2.8): the
 /// top byte is the event *class*, the low 56 bits identify the event
@@ -936,15 +936,12 @@ impl<'a, C: Clone + std::fmt::Debug> Ctx<'a, C> {
             .collect()
     }
 
-    /// Send a control message. When both endpoints are ranks it shares the
-    /// channel FIFO with application messages. The sender's clock is
-    /// charged (if it is a rank); auxiliary endpoints are timeless.
+    /// Send a control message of `bytes` (0 means a small default of 32).
+    /// When both endpoints are ranks it shares the channel FIFO with
+    /// application messages. The sender's clock is charged (if it is a
+    /// rank); auxiliary endpoints are timeless.
     pub fn send_ctl(&mut self, from: Endpoint, to: Endpoint, bytes: u64, ctl: C) {
-        let bytes = if bytes == 0 {
-            self.core.config.ctl_bytes_default
-        } else {
-            bytes
-        };
+        let bytes = if bytes == 0 { CTL_BYTES_DEFAULT } else { bytes };
         let cost = self.core.priced_between(from, to, bytes);
         let base = match from {
             Endpoint::Rank(r) => {

@@ -224,11 +224,13 @@ pub(crate) fn assign_shards(
 // ---------------------------------------------------------------------------
 
 /// Fan-in wrapper giving every shard of a run of two or more the same
-/// underlying [`Recorder`]. Calls are serialized by the mutex; their
-/// interleaving *across shards inside one window* follows wall-clock
-/// scheduling, which is why sharded trace files are not byte-stable
-/// (DESIGN.md §2.8). Virtual timestamps in the events are exact either
-/// way.
+/// underlying [`Recorder`]. Calls are serialized by the mutex. Only the
+/// per-event hooks (`on_tick`, `on_send`, `on_deliver`) interleave
+/// across shards inside one window, in wall-clock order, each carrying
+/// its own shard's gauges; so a sampler needs one shard (DESIGN.md
+/// §2.5). The span hooks of a sharded run fire from timers, which the
+/// lockstep loop steps one at a time in global order, so span trace
+/// files are byte-identical at any shard count (DESIGN.md §2.8).
 #[derive(Clone)]
 struct SharedRecorder(Arc<Mutex<Box<dyn Recorder>>>);
 

@@ -15,7 +15,6 @@
 
 use crate::peer_map::PeerMap;
 use crate::types::{ChannelId, Message};
-use std::collections::BTreeMap;
 
 /// Identity record of one application send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,17 +30,14 @@ pub struct SendIdentity {
 /// a dense arena indexed by `seq - 1` — an O(1) append on first emission
 /// and an O(1) probe on re-emission, instead of a per-message tree node
 /// (one `BTreeMap` entry per message for the whole run was both the
-/// allocation hot spot and the memory hog of large sims). `sparse` catches
-/// the out-of-sequence case (a replay racing ahead of the recorded
-/// prefix), which cannot happen under the engine's FIFO channels but keeps
-/// the oracle total.
+/// allocation hot spot and the memory hog of large sims). The engine's
+/// FIFO channels number sends 1, 2, 3, ... so a first emission of any
+/// other `seq` (0, or one past a gap) is itself a violation.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// First-seen identity of each message, densely interned per channel:
     /// `dense[src][dst][seq - 1]`. Grows on a sender's first send.
     dense: Vec<PeerMap<Vec<SendIdentity>>>,
-    /// Identities whose `channel_seq` arrived beyond the dense prefix.
-    sparse: BTreeMap<(ChannelId, u64), SendIdentity>,
     /// Oracle violations discovered during the run.
     pub violations: Vec<String>,
     /// Count of re-emissions that matched their original (replays and
@@ -52,51 +48,38 @@ pub struct Trace {
 impl Trace {
     /// Look up the first-seen identity of `(channel, seq)`.
     fn identity(&self, channel: ChannelId, seq: u64) -> Option<&SendIdentity> {
-        let dense = self.dense.get(channel.src.idx());
-        match dense.and_then(|t| t.get(channel.dst)) {
-            Some(v) if seq >= 1 && (seq as usize) <= v.len() => Some(&v[seq as usize - 1]),
-            _ => self.sparse.get(&(channel, seq)),
-        }
+        let v = self.dense.get(channel.src.idx())?.get(channel.dst)?;
+        v.get((seq as usize).checked_sub(1)?)
     }
 
     /// Record a send (fresh, re-executed, or suppressed-as-orphan; replayed
     /// log deliveries are *not* recorded here — they are copies, checked on
     /// delivery instead). A first emission interns its identity; any
     /// later emission of the same `(channel, seq)` is checked against it.
-    /// The channel's table is found once, for the probe and the append.
+    /// A first emission must be the channel's next `seq`; any other is an
+    /// out-of-sequence violation and is not interned. The channel's table
+    /// is found once, for the probe and the append.
     pub fn record_send(&mut self, msg: &Message) {
-        let channel = msg.channel();
         let seq = msg.channel_seq;
         let id = SendIdentity {
             bytes: msg.bytes,
             payload: msg.payload,
         };
-        let orig = if seq == 0 {
-            self.sparse.get(&(channel, seq)).copied()
-        } else {
-            let src = channel.src.idx();
-            if src >= self.dense.len() {
-                self.dense.resize_with(src + 1, PeerMap::new);
-            }
-            let v = self.dense[src].get_or_default(channel.dst);
-            match v.get(seq as usize - 1) {
-                Some(&orig) => Some(orig),
-                None => match self.sparse.get(&(channel, seq)) {
-                    Some(&orig) => Some(orig),
-                    None if seq as usize == v.len() + 1 => {
-                        v.push(id);
-                        return;
-                    }
-                    None => None,
-                },
-            }
-        };
-        match orig {
-            None => {
-                self.sparse.insert((channel, seq), id);
-            }
-            Some(orig) if orig == id => self.consistent_reemissions += 1,
-            Some(orig) => self.violations.push(format!(
+        let src = msg.src.idx();
+        if src >= self.dense.len() {
+            self.dense.resize_with(src + 1, PeerMap::new);
+        }
+        let v = self.dense[src].get_or_default(msg.dst);
+        match (seq as usize).checked_sub(1).and_then(|i| v.get(i)) {
+            None if seq as usize == v.len() + 1 => v.push(id),
+            None => self.violations.push(format!(
+                "out-of-sequence send on {src}->{dst} seq {seq}: the channel has {len} send(s)",
+                src = msg.src,
+                dst = msg.dst,
+                len = v.len(),
+            )),
+            Some(&orig) if orig == id => self.consistent_reemissions += 1,
+            Some(&orig) => self.violations.push(format!(
                 "send-determinism violation on {src}->{dst} seq {seq}: \
                  original ({ob} B, payload {op:#x}), re-emission ({nb} B, payload {np:#x})",
                 src = msg.src,
@@ -150,23 +133,17 @@ impl Trace {
                 *mine = theirs;
             }
         }
-        for (k, id) in other.sparse {
-            let prev = self.sparse.insert(k, id);
-            debug_assert!(prev.is_none(), "sparse identity {k:?} on two shards");
-        }
         self.violations.extend(other.violations);
         self.consistent_reemissions += other.consistent_reemissions;
     }
 
     /// Number of distinct application messages observed.
     pub fn distinct_messages(&self) -> usize {
-        let dense: usize = self
-            .dense
+        self.dense
             .iter()
             .flat_map(PeerMap::values)
             .map(Vec::len)
-            .sum();
-        dense + self.sparse.len()
+            .sum()
     }
 
     pub fn is_consistent(&self) -> bool {
@@ -215,10 +192,10 @@ mod tests {
     #[test]
     fn replay_checks_against_original() {
         let mut t = Trace::default();
-        t.record_send(&msg(3, 64, 0x1));
-        t.check_replay(&msg(3, 64, 0x1));
+        t.record_send(&msg(1, 64, 0x1));
+        t.check_replay(&msg(1, 64, 0x1));
         assert!(t.is_consistent());
-        t.check_replay(&msg(3, 64, 0x2));
+        t.check_replay(&msg(1, 64, 0x2));
         assert!(!t.is_consistent());
     }
 
@@ -236,7 +213,7 @@ mod tests {
             t.record_send(&msg(seq, 8, seq));
         }
         assert_eq!(t.distinct_messages(), 1000);
-        assert!(t.sparse.is_empty(), "FIFO seqs must stay in the arena");
+        assert!(t.is_consistent(), "FIFO seqs intern in order");
         // Re-emissions of interned identities are matched exactly.
         t.record_send(&msg(500, 8, 500));
         assert!(t.is_consistent());
@@ -281,18 +258,25 @@ mod tests {
             .all(|v| v.contains("replay mismatch")));
     }
 
+    /// A first emission off the channel's sequence (0, or past a gap) is
+    /// a violation and is not interned; the in-sequence prefix is kept.
     #[test]
     fn out_of_sequence_seq_falls_back_to_sparse() {
         let mut t = Trace::default();
         t.record_send(&msg(1, 8, 0xA));
         t.record_send(&msg(7, 8, 0xB)); // gap: seqs 2..=6 never seen
-        assert_eq!(t.distinct_messages(), 2);
-        assert_eq!(t.sparse.len(), 1);
-        // Both identities remain addressable.
+        t.record_send(&msg(0, 8, 0xC));
+        assert_eq!(t.distinct_messages(), 1);
+        assert_eq!(t.violations.len(), 2);
+        assert!(t.violations[0].starts_with("out-of-sequence send on P0->P1 seq 7"));
+        assert!(t.violations[1].starts_with("out-of-sequence send on P0->P1 seq 0"));
         t.check_replay(&msg(1, 8, 0xA));
+        assert_eq!(t.consistent_reemissions, 1);
         t.check_replay(&msg(7, 8, 0xB));
-        assert!(t.is_consistent());
-        t.check_replay(&msg(7, 8, 0xC));
-        assert!(!t.is_consistent());
+        assert!(t.violations[2].contains("never-sent"));
+        // The next in-sequence send still interns.
+        t.record_send(&msg(2, 8, 0xD));
+        assert_eq!(t.distinct_messages(), 2);
+        assert_eq!(t.violations.len(), 3);
     }
 }

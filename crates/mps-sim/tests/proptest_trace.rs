@@ -1,11 +1,12 @@
 //! The per-sender `Trace` against a plain map model.
 //!
 //! `mps_sim::Trace` interns send identities in per-sender tables of
-//! per-channel arrays, with a sparse map for sequence numbers off the
-//! dense prefix. The model is one `BTreeMap<(ChannelId, seq),
-//! SendIdentity>`: a first emission interns, any later one is compared.
-//! Random `record_send` / `check_replay` calls — sequence number 0,
-//! out-of-sequence numbers, equal and changed re-emissions — must give
+//! per-channel arrays. The model is one `BTreeMap<(ChannelId, seq),
+//! SendIdentity>`: a first emission interns if it is its channel's next
+//! sequence number and is an out-of-sequence violation otherwise; any
+//! later emission is compared. Random `record_send` / `check_replay`
+//! calls — sequence number 0, numbers that jump ahead, equal and changed
+//! re-emissions — must give
 //! the same violations, consistent re-emission count and distinct-message
 //! count on both. `absorb` of two traces over disjoint senders must equal
 //! the trace of the union.
@@ -36,12 +37,19 @@ fn identity(msg: &Message) -> SendIdentity {
 impl Model {
     fn record_send(&mut self, msg: &Message) {
         match self.ids.get(&msg.id()) {
-            None => {
+            None if msg.channel_seq == self.interned(msg.channel()) + 1 => {
                 self.ids.insert(msg.id(), identity(msg));
             }
+            None => self.violations.push("out-of-sequence send"),
             Some(&orig) if orig == identity(msg) => self.consistent_reemissions += 1,
             Some(_) => self.violations.push("send-determinism violation"),
         }
+    }
+
+    /// Messages interned on `channel` so far.
+    fn interned(&self, channel: ChannelId) -> u64 {
+        let all = (channel, 0)..=(channel, u64::MAX);
+        self.ids.range(all).count() as u64
     }
 
     fn check_replay(&mut self, msg: &Message) {
@@ -57,6 +65,7 @@ impl Model {
 fn kind(violation: &str) -> &'static str {
     [
         "send-determinism violation",
+        "out-of-sequence send",
         "replay mismatch",
         "replay of never-sent",
     ]
@@ -73,7 +82,7 @@ struct Call {
 }
 
 /// Decode fuzz input into calls. Most sends take their channel's next
-/// sequence number, so the dense prefix grows; the rest re-emit an
+/// sequence number, so the interned prefix grows; the rest re-emit an
 /// earlier number, use 0, or jump ahead of the prefix. Sizes and
 /// payloads come from small sets, so re-emissions are often equal and
 /// often changed.
@@ -82,18 +91,21 @@ fn decode(raw: &[(u8, u8, u8, u8)]) -> Vec<Call> {
     raw.iter()
         .map(|&(op, chan, seq_pick, content)| {
             let (src, dst) = (chan as u32 % RANKS, chan as u32 / 4 % RANKS);
+            let replay = op % 4 == 0;
             let n = next.entry((src, dst)).or_insert(1);
             let seq = match seq_pick % 8 {
                 0 => 0,
                 1 => *n + 1 + seq_pick as u64 / 8 % 3,
                 2 | 3 => 1 + seq_pick as u64 % *n,
+                // A replay checks the next number without sending it.
+                _ if replay => *n,
                 _ => {
                     *n += 1;
                     *n - 1
                 }
             };
             Call {
-                replay: op % 4 == 0,
+                replay,
                 msg: Message {
                     src: Rank(src),
                     dst: Rank(dst),
@@ -102,7 +114,7 @@ fn decode(raw: &[(u8, u8, u8, u8)]) -> Vec<Call> {
                     payload: content as u64 / 2 % 3,
                     channel_seq: seq,
                     meta: PbMeta::default(),
-                    replayed: op % 4 == 0,
+                    replayed: replay,
                 },
             }
         })

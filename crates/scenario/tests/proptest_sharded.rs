@@ -6,6 +6,10 @@
 //! label embeds `/shardsN`, and the `shards`/`barrier_rounds` columns
 //! report which engine ran). Everything the simulation computed —
 //! digests, makespan, metrics, containment, waste — must not move.
+//! Each run carries a `SpanRecorder`, and the Perfetto JSON it exports
+//! must be byte-identical at every shard count too: a sharded run has
+//! no failures, and the lockstep loop steps the timers that fire its
+//! checkpoint and storage spans one at a time in global order.
 //!
 //! Failure-model scenarios exercise the documented fallback instead:
 //! the factory runs them serially whatever `shards` asks for, so their
@@ -52,6 +56,13 @@ fn decode_failures(variant: u8, seed: u64) -> FailureModelSpec {
     }
 }
 
+/// Run `spec` with a `SpanRecorder` attached: its record and trace JSON.
+fn run_traced(spec: &ScenarioSpec) -> (RunRecord, String) {
+    let (recorder, trace) = telemetry::SpanRecorder::new();
+    let record = Executor::run_one_with_recorder(spec, Some(Box::new(recorder)));
+    (record, trace.to_chrome_json())
+}
+
 /// Blank out the fields that legitimately differ between the serial and
 /// sharded runs of the same spec: the label (embeds `/shardsN`) and the
 /// engine-identity columns. Everything else must match byte-for-byte.
@@ -87,12 +98,12 @@ proptest! {
             s
         };
         let has_failures = spec.failure_model != FailureModelSpec::none();
-        let serial = Executor::run_one(&spec);
+        let (serial, serial_trace) = run_traced(&spec);
         prop_assert_eq!(serial.shards, 1);
         prop_assert_eq!(serial.barrier_rounds, 0);
         let oracle = normalized(serial);
         for shards in SHARD_POINTS {
-            let record = Executor::run_one(&spec.clone().with_shards(shards));
+            let (record, trace) = run_traced(&spec.clone().with_shards(shards));
             // Failure runs take the documented serial fallback; clean
             // Coordinated runs are serial by design. Either way the
             // record must admit it in the `shards` column.
@@ -116,6 +127,7 @@ proptest! {
                 "sharded record diverged at shards={}",
                 shards
             );
+            prop_assert!(trace == serial_trace, "span trace diverged at shards={}", shards);
         }
     }
 }
@@ -144,4 +156,46 @@ fn oversharded_requests_clamp_to_the_cluster_count() {
     let record = Executor::run_one(&spec);
     assert_eq!(record.shards, 8, "oversharded run must clamp, not fail");
     assert!(record.completed);
+}
+
+/// The trace half of the property on runs long enough to checkpoint:
+/// HydEE under a timed and a reactive policy writes the same Perfetto
+/// JSON, checkpoint spans included, at 1, 2, 4 and 8 shards.
+#[test]
+fn span_traces_are_byte_identical_at_any_shard_count() {
+    let policies = [
+        CheckpointPolicySpec::Periodic {
+            interval_ms: 1,
+            first_ms: Some(1),
+            stagger_ms: Some(0),
+        },
+        CheckpointPolicySpec::LogPressure {
+            budget_bytes: 64 * 1024,
+        },
+    ];
+    for policy in policies {
+        let spec = ScenarioSpec::new(
+            WorkloadSpec::Stencil {
+                n_ranks: 16,
+                iterations: 40,
+                face_bytes: 4096,
+                compute_us: 100,
+                wildcard_recv: false,
+            },
+            ProtocolSpec::hydee().with_policy(policy),
+            ClusterStrategy::Blocks(8),
+        );
+        let (_, serial) = run_traced(&spec);
+        let spans = serial.matches("\"name\":\"checkpoint\"").count();
+        assert!(spans >= 8, "{}: {spans} checkpoint spans", policy.name());
+        for shards in [2, 4, 8] {
+            let (record, trace) = run_traced(&spec.clone().with_shards(shards));
+            assert_eq!(record.shards as usize, shards);
+            assert!(
+                trace == serial,
+                "{}: span trace diverged at shards={shards}",
+                policy.name()
+            );
+        }
+    }
 }

@@ -102,6 +102,11 @@ impl SampleHandle {
 
 /// Emits one [`SampleRow`] per `interval` of virtual time, plus a final
 /// row at the makespan.
+///
+/// Attach a sampler to a one-shard run only. On a run of n shards every
+/// shard calls `on_tick` with its own shard's [`Gauges`], in wall-clock
+/// order, so the rows would mix partial counts and differ between runs;
+/// `sweep --sample-out` refuses such a cell.
 pub struct Sampler {
     interval: SimDuration,
     next: SimTime,

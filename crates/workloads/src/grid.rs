@@ -67,16 +67,6 @@ impl Grid2D {
             Some(self.rank(nr as usize, nc as usize))
         }
     }
-
-    /// All ranks of one row.
-    pub fn row_ranks(&self, row: usize) -> Vec<Rank> {
-        (0..self.cols).map(|c| self.rank(row, c)).collect()
-    }
-
-    /// All ranks of one column.
-    pub fn col_ranks(&self, col: usize) -> Vec<Rank> {
-        (0..self.rows).map(|r| self.rank(r, col)).collect()
-    }
 }
 
 /// A 3D logical process grid (x fastest).
@@ -177,13 +167,5 @@ mod tests {
             let (x, y, z) = g.coords(Rank(i));
             assert_eq!(g.rank(x, y, z), Rank(i));
         }
-    }
-
-    #[test]
-    fn rows_and_cols() {
-        let g = Grid2D::new(3, 4);
-        assert_eq!(g.row_ranks(1).len(), 4);
-        assert_eq!(g.col_ranks(2).len(), 3);
-        assert_eq!(g.row_ranks(0)[0], Rank(0));
     }
 }
