@@ -15,10 +15,13 @@
 //! failure, lost time, log memory.
 //!
 //! ```text
-//! recovery [--fail <ms>:<rank[,rank...]>] [--trace-out FILE] [--sample-out FILE]
+//! recovery [--fail <ms>:<rank[+rank...]>] [--trace-out FILE] [--sample-out FILE]
 //! ```
 //!
-//! * `--fail` — override the injected failure (default `195:7`)
+//! * `--fail` — override the injected failure (default `195:7`). It takes
+//!   one injection in the sweep grammar (`FailureSpec::parse`): `<ms>:<r>`,
+//!   `<t>us:<r>`, `<t>ms:<r>` or `fail@<t>us:r<r>`, several ranks joined
+//!   by `+` (`195:7+8`)
 //! * `--trace-out FILE` — re-run the failed HydEE cell with a
 //!   [`telemetry::SpanRecorder`] attached and write a Perfetto-loadable
 //!   Chrome trace-event JSON file. The trace is validated before it is
@@ -37,7 +40,7 @@ use det_sim::{SimDuration, SimTime};
 use mps_sim::Rank;
 use scenario::{
     CheckpointPolicySpec, ClusterStrategy, Executor, FailureModelSpec, FailureSpec, Matrix,
-    ProtocolSpec, StorageSpec,
+    ProtocolSpec, SpecAxis, StorageSpec,
 };
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -53,34 +56,13 @@ const N: usize = 256;
 const FAILURE_MS: u64 = 195;
 const CKPT_MS: u64 = 100;
 
+const USAGE: &str =
+    "recovery [--fail <ms>:<rank[+rank...]>] [--trace-out FILE] [--sample-out FILE]";
+
 fn fail_usage<T>(msg: &str) -> T {
     eprintln!("recovery: {msg}");
-    eprintln!(
-        "usage: recovery [--fail <ms>:<rank[,rank...]>] [--trace-out FILE] [--sample-out FILE]"
-    );
+    eprintln!("usage: {USAGE}");
     std::process::exit(2);
-}
-
-/// `<ms>:<rank[,rank...]>` → (time, victims).
-fn parse_fail(arg: &str) -> (u64, Vec<u32>) {
-    let Some((ms, ranks)) = arg.split_once(':') else {
-        fail_usage(&format!("bad --fail `{arg}` (want <ms>:<rank[,rank...]>)"))
-    };
-    let ms = ms
-        .parse()
-        .unwrap_or_else(|_| fail_usage(&format!("bad --fail time `{ms}`")));
-    let ranks: Vec<u32> = ranks
-        .split(',')
-        .map(|r| {
-            r.trim()
-                .parse()
-                .unwrap_or_else(|_| fail_usage(&format!("bad --fail rank `{r}`")))
-        })
-        .collect();
-    if ranks.is_empty() {
-        fail_usage::<()>("--fail needs at least one rank");
-    }
-    (ms, ranks)
 }
 
 #[derive(Serialize)]
@@ -97,8 +79,7 @@ struct Row {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut failure_ms = FAILURE_MS;
-    let mut victims: Vec<u32> = vec![7];
+    let mut failure = FailureSpec::at_ms(FAILURE_MS, vec![7]);
     let mut trace_out: Option<PathBuf> = None;
     let mut sample_out: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -109,18 +90,20 @@ fn main() {
                 .clone()
         };
         match arg.as_str() {
-            "--fail" => (failure_ms, victims) = parse_fail(&value("--fail")),
+            "--fail" => {
+                failure = <FailureSpec as SpecAxis>::parse(&value("--fail"))
+                    .unwrap_or_else(|e| fail_usage(&e.to_string()))
+            }
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out"))),
             "--sample-out" => sample_out = Some(PathBuf::from(value("--sample-out"))),
             "-h" | "--help" => {
-                println!(
-                    "recovery [--fail <ms>:<rank[,rank...]>] [--trace-out FILE] [--sample-out FILE]"
-                );
+                println!("{USAGE}");
                 return;
             }
             other => fail_usage(&format!("unknown flag `{other}`")),
         }
     }
+    let victims = failure.ranks.clone();
     if victims.iter().any(|&v| v as usize >= N) {
         fail_usage::<()>(&format!(
             "--fail rank out of range (workload has {N} ranks)"
@@ -134,7 +117,8 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
     println!(
-        "X1: containment & recovery — CG skeleton, 256 ranks, failure of rank {victim_list} at {failure_ms} ms"
+        "X1: containment & recovery — CG skeleton, 256 ranks, failure of rank {victim_list} at {}",
+        failure.to_event().at
     );
     println!();
 
@@ -189,7 +173,7 @@ fn main() {
                 .clusters([*clusters])
                 .failure_models([
                     FailureModelSpec::none(),
-                    FailureModelSpec::Fixed(vec![FailureSpec::at_ms(failure_ms, victims.clone())]),
+                    FailureModelSpec::Fixed(vec![failure.clone()]),
                 ])
                 .expand()
         })

@@ -8,7 +8,7 @@
 //!       --protocols native,hydee --clusters per-rank,part:16 \
 //!       --networks mx,tcp --ckpt-ms none,100 \
 //!       --fail none --fail 195:7 --fail poisson:mtbf=500:seed=7 \
-//!       [--static] [--serial] [--image-bytes N] [--max-events N] \
+//!       [--static] [--serial] [--max-events N] \
 //!       [--out DIR] [--name NAME] [--list]
 //! sweep --serve <spool-dir|host:port> [--store DIR] [--out DIR]
 //! sweep submit <suite-file> [--addr A] [--priority P] [--wait]
@@ -22,8 +22,11 @@
 //! scenarios, `--max-cells` truncates the cell list (CI smoke mode).
 //! Axis flags and `--suite` are mutually exclusive.
 //!
-//! Workload names follow the `workloads::registry` grammar (`--list`
-//! prints it with examples). Each `--fail` flag adds one *failure model*
+//! Every axis value parses through its `SpecAxis` parser, the same one
+//! suite files use, so any name a record prints is accepted back and a
+//! bad value exits 2 naming the axis and its accepted forms. Workload
+//! names follow the `workloads::registry` grammar (`--list` prints it
+//! with examples). Each `--fail` flag adds one *failure model*
 //! to the matrix axis: `none`, a comma-separated fixed schedule of
 //! injections (`fail@<t>us:r<r>[+<r>...]`, `<t>us:`/`<t>ms:` forms, or
 //! the legacy bare-`<ms>:<rank>`), or a stochastic regime
@@ -38,8 +41,8 @@ use std::sync::Arc;
 
 use bench::Table;
 use scenario::{
-    CheckpointPolicySpec, ClusterStrategy, Executor, FailureModelSpec, Matrix, MatrixSummary,
-    NetworkSpec, ProtocolSpec, StorageSpec, Suite, TopologySpec, DEFAULT_IMAGE_BYTES,
+    CheckpointPolicySpec, Executor, FailureModelSpec, Matrix, MatrixSummary, SpecAxis, Suite,
+    TopologySpec,
 };
 use sweep_server::{Client, RunStore, Server};
 use workloads::WorkloadSpec;
@@ -87,7 +90,9 @@ SERVICE MODE (simulation as a service — DESIGN.md §2.7):
 
 OPTIONS (comma-separate values; every combination runs):
     --workloads <w,...>   workload registry names [default: netpipe:1024]
-    --protocols <p,...>   native | hydee | coordinated | event-logged
+    --protocols <p,...>   protocol names as records print them: native |
+                          {hydee|coordinated|event-logged}[:ckpt<ms>ms |
+                          :<policy>][:img<bytes>][:pfs][:nogc]
                           [default: native,hydee]
     --clusters <c,...>    single | per-rank | blocks:K | part:K (or blocksK, partK)
                           [default: single]
@@ -97,7 +102,8 @@ OPTIONS (comma-separate values; every combination runs):
                           the cell's cluster map (DESIGN.md §2.9)
     --topology <t>        add one topology to the axis (repeatable;
                           shares the --topologies axis)
-    --ckpt-ms <v,...>     none or an interval in ms; overrides protocols'
+    --ckpt-ms <v,...>     none or an interval in ms (sugar for the policy
+                          periodic:interval=<ms>); overrides protocols'
                           checkpointing [default: leave as configured]
     --ckpt-policy <p>     add one checkpoint policy to the axis
                           (repeatable, shares the --ckpt-ms axis):
@@ -114,7 +120,6 @@ OPTIONS (comma-separate values; every combination runs):
                             cluster:mtbf=<ms>:seed=<n>[:max=<n>]
                             cascade:mtbf=<ms>:seed=<n>[:window=<us>]
                               [:follow=<pct>][:max=<n>]
-    --image-bytes <n>     per-rank checkpoint image size [default: 1048576]
     --static              static clustering analysis only (no simulation)
     --serial              run on one core (reference mode)
     --max-events <n>      engine event-limit override
@@ -166,36 +171,15 @@ fn split_csv(v: &str) -> Vec<&str> {
         .collect()
 }
 
-fn parse_protocol(name: &str, image_bytes: u64) -> ProtocolSpec {
-    let storage = StorageSpec::Default;
-    match name {
-        "native" => ProtocolSpec::Native,
-        "hydee" => ProtocolSpec::Hydee {
-            checkpoint: CheckpointPolicySpec::None,
-            image_bytes,
-            storage,
-            gc: true,
-        },
-        "coordinated" => ProtocolSpec::Coordinated {
-            checkpoint: CheckpointPolicySpec::None,
-            image_bytes,
-            storage,
-        },
-        "event-logged" => ProtocolSpec::EventLogged {
-            checkpoint: CheckpointPolicySpec::None,
-            image_bytes,
-            storage,
-        },
-        other => fail(&format!("unknown protocol `{other}`")),
-    }
+/// Parse one axis value, or exit 2 with the axis's diagnostic (axis,
+/// token, accepted forms).
+fn axis<A: SpecAxis>(value: &str) -> A {
+    A::parse(value).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
-fn parse_clusters(name: &str) -> ClusterStrategy {
-    ClusterStrategy::parse(name).unwrap_or_else(|e| fail(&e))
-}
-
-fn parse_failure_model(arg: &str) -> FailureModelSpec {
-    FailureModelSpec::parse(arg).unwrap_or_else(|e| fail(&e))
+/// Parse a comma-separated list of axis values.
+fn axes<A: SpecAxis>(list: &str) -> Vec<A> {
+    split_csv(list).into_iter().map(axis).collect()
 }
 
 fn list_registry() {
@@ -467,7 +451,6 @@ fn main() {
     let mut ckpt_arg: Option<String> = None;
     let mut ckpt_policies: Vec<CheckpointPolicySpec> = Vec::new();
     let mut failure_models: Vec<FailureModelSpec> = Vec::new();
-    let mut image_bytes = DEFAULT_IMAGE_BYTES;
     let mut static_only = false;
     let mut serial = false;
     let mut max_events: Option<u64> = None;
@@ -512,14 +495,11 @@ fn main() {
             }
             "--topologies" => {
                 axis_flags.push("--topologies");
-                for t in split_csv(&value("--topologies")) {
-                    topologies.push(TopologySpec::parse(t).unwrap_or_else(|e| fail(&e)));
-                }
+                topologies.extend(axes::<TopologySpec>(&value("--topologies")));
             }
             "--topology" => {
                 axis_flags.push("--topology");
-                topologies
-                    .push(TopologySpec::parse(&value("--topology")).unwrap_or_else(|e| fail(&e)));
+                topologies.push(axis(&value("--topology")));
             }
             "--ckpt-ms" => {
                 axis_flags.push("--ckpt-ms");
@@ -527,21 +507,11 @@ fn main() {
             }
             "--ckpt-policy" => {
                 axis_flags.push("--ckpt-policy");
-                ckpt_policies.push(
-                    CheckpointPolicySpec::parse(&value("--ckpt-policy"))
-                        .unwrap_or_else(|e| fail(&e)),
-                );
+                ckpt_policies.push(axis(&value("--ckpt-policy")));
             }
             "--fail" => {
                 axis_flags.push("--fail");
-                failure_models.push(parse_failure_model(&value("--fail")));
-            }
-            "--image-bytes" => {
-                axis_flags.push("--image-bytes");
-                let v = value("--image-bytes");
-                image_bytes = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --image-bytes `{v}`")));
+                failure_models.push(axis(&value("--fail")));
             }
             "--static" => {
                 axis_flags.push("--static");
@@ -665,33 +635,20 @@ fn main() {
             fail::<()>("--scenario/--max-cells need --suite");
         }
         let mut matrix = Matrix::new()
-            .workloads(
-                split_csv(&workloads_arg)
-                    .into_iter()
-                    .map(|w| WorkloadSpec::parse(w).unwrap_or_else(|e| fail(&e))),
-            )
-            .protocols(
-                split_csv(&protocols_arg)
-                    .into_iter()
-                    .map(|p| parse_protocol(p, image_bytes)),
-            )
-            .clusters(split_csv(&clusters_arg).into_iter().map(parse_clusters))
-            .networks(split_csv(&networks_arg).into_iter().map(|n| match n {
-                "mx" => NetworkSpec::Mx,
-                "tcp" => NetworkSpec::Tcp,
-                other => fail(&format!("unknown network `{other}`")),
-            }))
+            .workloads(axes(&workloads_arg))
+            .protocols(axes(&protocols_arg))
+            .clusters(axes(&clusters_arg))
+            .networks(axes(&networks_arg))
             .topologies(topologies)
             .failure_models(failure_models);
         if let Some(ckpt) = &ckpt_arg {
-            matrix = matrix.checkpoint_policies(split_csv(ckpt).into_iter().map(|c| {
-                match c {
-                    "none" => CheckpointPolicySpec::None,
-                    ms => CheckpointPolicySpec::periodic(
-                        ms.parse()
-                            .unwrap_or_else(|_| fail(&format!("bad --ckpt-ms `{ms}`"))),
-                    ),
-                }
+            // `--ckpt-ms <ms>` is sugar for `--ckpt-policy
+            // periodic:interval=<ms>` and parses as exactly that.
+            matrix = matrix.checkpoint_policies(split_csv(ckpt).into_iter().map(|ms| {
+                axis::<CheckpointPolicySpec>(&match ms {
+                    "none" => ms.to_string(),
+                    ms => format!("periodic:interval={ms}"),
+                })
             }));
         }
         if !ckpt_policies.is_empty() {

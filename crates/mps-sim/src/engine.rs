@@ -1695,10 +1695,6 @@ impl<P: Protocol> Sim<P> {
             rs.pc += 1;
         }
         self.core.metrics.deliveries += 1;
-        if let Some(rec) = self.core.recorder.as_deref_mut() {
-            let now = self.core.sched.now();
-            rec.on_deliver(now, arr.msg.src.0, rank.0, arr.msg.bytes);
-        }
         self.protocol.on_deliver(
             &mut Ctx {
                 core: &mut self.core,

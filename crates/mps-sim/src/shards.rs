@@ -225,7 +225,7 @@ pub(crate) fn assign_shards(
 
 /// Fan-in wrapper giving every shard of a run of two or more the same
 /// underlying [`Recorder`]. Calls are serialized by the mutex. Only the
-/// per-event hooks (`on_tick`, `on_send`, `on_deliver`) interleave
+/// per-event hooks (`on_tick`, `on_send`) interleave
 /// across shards inside one window, in wall-clock order, each carrying
 /// its own shard's gauges; so a sampler needs one shard (DESIGN.md
 /// §2.5). The span hooks of a sharded run fire from timers, which the
@@ -243,9 +243,6 @@ impl Recorder for SharedRecorder {
             .lock()
             .unwrap()
             .on_send(now, src, dst, bytes, replayed);
-    }
-    fn on_deliver(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) {
-        self.0.lock().unwrap().on_deliver(now, src, dst, bytes);
     }
     fn on_failure(&mut self, now: SimTime, ranks: &[u32]) {
         self.0.lock().unwrap().on_failure(now, ranks);

@@ -91,7 +91,7 @@ macro_rules! spec_axis {
 spec_axis!(
     WorkloadSpec,
     "workload",
-    "nas:<BT|CG|FT|LU|MG|SP>[:scale=<f>][:iters=<n>] | netpipe:<bytes>[:rounds=<n>] | \
+    "nas:<BT|CG|FT|LU|MG|SP>[:scale=<0<f<=1>][:iters=<n>] | netpipe:<bytes>[:rounds=<n>] | \
      stencil:<ranks>x<iters>[:face=<bytes>][:compute_us=<us>][:wildcard] | \
      master_worker:<ranks>[:tasks=<n>]"
 );

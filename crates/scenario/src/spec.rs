@@ -18,18 +18,8 @@ use protocols::{
     HydeeFactory, HydeeParams, NativeFactory, ProtocolFactory,
 };
 use serde::Serialize;
+use workloads::params::{digits, ms, uint, us, Params};
 use workloads::WorkloadSpec;
-
-/// Strict unsigned decimal used by every axis parser: ASCII digits only.
-/// Rejects the leading `+`, embedded whitespace and empty strings that
-/// `u64::from_str` would otherwise accept, so axis names stay canonical
-/// (`parse(name()) == self` and nothing else sneaks through).
-fn parse_digits<T: std::str::FromStr>(s: &str) -> Option<T> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    s.parse().ok()
-}
 
 /// How ranks are grouped into clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -78,7 +68,7 @@ impl ClusterStrategy {
                 "unknown clustering `{s}` (want single | per-rank | blocks<k> | part<k>)"
             ));
         };
-        let k: usize = parse_digits(k)
+        let k: usize = digits(k)
             .ok_or_else(|| format!("bad cluster count `{k}` in `{s}` (want a positive integer)"))?;
         if k == 0 {
             return Err(format!("`{s}` needs at least one cluster"));
@@ -191,7 +181,7 @@ impl TopologySpec {
             )
         };
         let (kind, arg) = s.split_once(':').ok_or_else(err)?;
-        let n: u32 = parse_digits(arg)
+        let n: u32 = digits(arg)
             .ok_or_else(|| format!("bad parameter `{arg}` in `{s}` (want a positive integer)"))?;
         match kind {
             "fat-tree" => {
@@ -324,89 +314,37 @@ impl CheckpointPolicySpec {
     }
 
     /// Parse a checkpoint-policy axis value: `none`,
-    /// `periodic:interval=<ms>[:first=<ms>]`, `young-daly[:first=<ms>]`
-    /// or `log-pressure:budget=<bytes>`. Strict: every `:`-segment must
-    /// be a known `key=value`, each key at most once — trailing or
-    /// doubled separators and repeated keys are errors, not noise.
+    /// `periodic:interval=<ms>[:first=<ms>][:stagger=<ms>]`,
+    /// `young-daly[:first=<ms>][:stagger=<ms>]` or
+    /// `log-pressure:budget=<bytes>`, its parameters read by the shared
+    /// strict [`Params`] reader.
     pub fn parse(s: &str) -> Result<CheckpointPolicySpec, String> {
         let s = s.trim();
         if s.is_empty() || s == "none" {
             return Ok(CheckpointPolicySpec::None);
         }
-        let (kind, rest) = match s.split_once(':') {
-            Some((kind, rest)) => (kind, Some(rest)),
-            None => (s, None),
-        };
-        if !matches!(kind, "periodic" | "young-daly" | "log-pressure") {
-            return Err(format!(
-                "unknown checkpoint policy `{kind}` in `{s}` \
-                 (want none | periodic | young-daly | log-pressure)"
-            ));
-        }
-        let mut interval_ms = None;
-        let mut first_ms = None;
-        let mut stagger_ms = None;
-        let mut budget_bytes = None;
-        let mut seen: Vec<&str> = Vec::new();
-        for part in rest.into_iter().flat_map(|r| r.split(':')) {
-            if part.is_empty() {
+        let mut segs = s.split(':');
+        let kind = segs.next().unwrap_or_default();
+        let keys: &[&str] = match kind {
+            "periodic" => &["interval", "first", "stagger"],
+            "young-daly" => &["first", "stagger"],
+            "log-pressure" => &["budget"],
+            _ => {
                 return Err(format!(
-                    "empty parameter segment in `{s}` (stray or trailing `:`)"
-                ));
+                    "unknown checkpoint policy `{kind}` in `{s}` \
+                     (want none | periodic | young-daly | log-pressure)"
+                ))
             }
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                format!("bad policy parameter `{part}` in `{s}` (want key=value)")
-            })?;
-            if seen.contains(&key) {
-                return Err(format!("duplicate `{key}=` in `{s}`"));
-            }
-            seen.push(key);
-            let parsed: u64 = parse_digits(value)
-                .ok_or_else(|| format!("bad value `{value}` for `{key}` in `{s}`"))?;
-            // Millisecond times convert to picoseconds (x1e9) at build
-            // time: reject here anything that would wrap there.
-            let ms_fits = |v: u64| v.checked_mul(1_000_000_000).is_some();
-            match key {
-                "interval" if kind == "periodic" => {
-                    if parsed == 0 {
-                        return Err(format!("`{s}` needs a positive interval"));
-                    }
-                    if !ms_fits(parsed) {
-                        return Err(format!(
-                            "`interval={parsed}` in `{s}` overflows simulated time"
-                        ));
-                    }
-                    interval_ms = Some(parsed);
-                }
-                "first" if kind != "log-pressure" => {
-                    if !ms_fits(parsed) {
-                        return Err(format!(
-                            "`first={parsed}` in `{s}` overflows simulated time"
-                        ));
-                    }
-                    first_ms = Some(parsed);
-                }
-                "stagger" if kind != "log-pressure" => {
-                    if !ms_fits(parsed) {
-                        return Err(format!(
-                            "`stagger={parsed}` in `{s}` overflows simulated time"
-                        ));
-                    }
-                    stagger_ms = Some(parsed);
-                }
-                "budget" if kind == "log-pressure" => {
-                    if parsed == 0 {
-                        return Err(format!("`{s}` needs a positive budget"));
-                    }
-                    budget_bytes = Some(parsed);
-                }
-                other => return Err(format!("unknown policy parameter `{other}` in `{s}`")),
-            }
-        }
+        };
+        let p = Params::read(s, segs, keys, &[])?;
+        let (first_ms, stagger_ms) = (p.get("first", ms)?, p.get("stagger", ms)?);
         Ok(match kind {
             "periodic" => CheckpointPolicySpec::Periodic {
-                interval_ms: interval_ms
-                    .ok_or_else(|| format!("policy `{s}` needs interval=<ms>"))?,
+                interval_ms: match p.get("interval", ms)? {
+                    Some(0) => return Err(format!("`{s}` needs a positive interval")),
+                    Some(ms) => ms,
+                    None => return Err(format!("policy `{s}` needs interval=<ms>")),
+                },
                 first_ms,
                 stagger_ms,
             },
@@ -415,8 +353,11 @@ impl CheckpointPolicySpec {
                 stagger_ms,
             },
             _ => CheckpointPolicySpec::LogPressure {
-                budget_bytes: budget_bytes
-                    .ok_or_else(|| format!("policy `{s}` needs budget=<bytes>"))?,
+                budget_bytes: match p.get("budget", uint)? {
+                    Some(0) => return Err(format!("`{s}` needs a positive budget")),
+                    Some(bytes) => bytes,
+                    None => return Err(format!("policy `{s}` needs budget=<bytes>")),
+                },
             },
         })
     }
@@ -555,18 +496,6 @@ impl ProtocolSpec {
         })
     }
 
-    /// Copy of `self` with the per-rank checkpoint image size replaced
-    /// (no-op for `Native`, which never checkpoints).
-    pub fn with_image_bytes(mut self, bytes: u64) -> Self {
-        match &mut self {
-            ProtocolSpec::Native => {}
-            ProtocolSpec::Hydee { image_bytes, .. }
-            | ProtocolSpec::Coordinated { image_bytes, .. }
-            | ProtocolSpec::EventLogged { image_bytes, .. } => *image_bytes = bytes,
-        }
-        self
-    }
-
     /// Parse a protocol axis value — the inverse of
     /// [`ProtocolSpec::name`]. The family (`native` | `hydee` |
     /// `coordinated` | `event-logged`) is followed by `:`-separated
@@ -583,91 +512,72 @@ impl ProtocolSpec {
     /// ```
     pub fn parse(s: &str) -> Result<ProtocolSpec, String> {
         let s = s.trim();
-        let segs: Vec<&str> = s.split(':').collect();
-        let family = segs[0];
-        if !matches!(family, "native" | "hydee" | "coordinated" | "event-logged") {
-            return Err(format!(
-                "unknown protocol `{family}` in `{s}` \
-                 (want native | hydee | coordinated | event-logged)"
-            ));
-        }
-        let mut checkpoint: Option<CheckpointPolicySpec> = None;
-        let mut image_bytes: Option<u64> = None;
-        let mut storage: Option<StorageSpec> = None;
-        let mut gc: Option<bool> = None;
-        let set_ckpt = |c: CheckpointPolicySpec,
-                        checkpoint: &mut Option<CheckpointPolicySpec>|
-         -> Result<(), String> {
-            if checkpoint.replace(c).is_some() {
-                return Err(format!("more than one checkpoint setting in `{s}`"));
+        let mut segs = s.split(':').peekable();
+        let family = segs.next().unwrap_or_default();
+        match family {
+            "native" if segs.peek().is_none() => return Ok(ProtocolSpec::Native),
+            "native" => return Err(format!("`native` takes no parameters (got `{s}`)")),
+            "hydee" | "coordinated" | "event-logged" => {}
+            _ => {
+                return Err(format!(
+                    "unknown protocol `{family}` in `{s}` \
+                     (want native | hydee | coordinated | event-logged)"
+                ))
             }
-            Ok(())
-        };
-        let mut i = 1;
-        while i < segs.len() {
-            let seg = segs[i];
-            if seg.is_empty() {
+        }
+        let mut checkpoint = CheckpointPolicySpec::None;
+        let mut image_bytes = DEFAULT_IMAGE_BYTES;
+        let mut storage = StorageSpec::Default;
+        let mut gc = true;
+        // Each setting may be given once.
+        let mut seen: Vec<&str> = Vec::new();
+        while let Some(seg) = segs.next() {
+            let setting = if let Some(ms) =
+                seg.strip_prefix("ckpt").and_then(|x| x.strip_suffix("ms"))
+            {
+                checkpoint = CheckpointPolicySpec::parse(&format!("periodic:interval={ms}"))
+                    .map_err(|e| format!("`{seg}` in `{s}`: {e}"))?;
+                "checkpoint setting"
+            } else if matches!(seg, "periodic" | "young-daly" | "log-pressure" | "none") {
+                // A policy head absorbs every following key=value segment,
+                // which the policy's own strict reader then takes.
+                let mut policy = seg.to_string();
+                while let Some(kv) = segs.next_if(|next| next.contains('=')) {
+                    policy = format!("{policy}:{kv}");
+                }
+                checkpoint = CheckpointPolicySpec::parse(&policy)?;
+                "checkpoint setting"
+            } else if let Some(b) = seg.strip_prefix("img") {
+                image_bytes = digits(b)
+                    .ok_or_else(|| format!("bad image size `{seg}` in `{s}` (want img<bytes>)"))?;
+                "`img`"
+            } else if seg == "pfs" {
+                storage = StorageSpec::ParallelFs;
+                "`pfs`"
+            } else if seg == "nogc" && family == "hydee" {
+                gc = false;
+                "`nogc`"
+            } else if seg.is_empty() {
                 return Err(format!(
                     "empty parameter segment in `{s}` (stray or trailing `:`)"
                 ));
-            }
-            if let Some(ms) = seg.strip_prefix("ckpt").and_then(|x| x.strip_suffix("ms")) {
-                let ms: u64 = parse_digits(ms)
-                    .ok_or_else(|| format!("bad checkpoint interval `{seg}` in `{s}`"))?;
-                let p = CheckpointPolicySpec::parse(&format!("periodic:interval={ms}"))?;
-                set_ckpt(p, &mut checkpoint)?;
-            } else if matches!(seg, "periodic" | "young-daly" | "log-pressure") {
-                // A policy head absorbs every following key=value segment.
-                let mut j = i + 1;
-                while j < segs.len() && segs[j].contains('=') {
-                    j += 1;
-                }
-                let p = CheckpointPolicySpec::parse(&segs[i..j].join(":"))?;
-                set_ckpt(p, &mut checkpoint)?;
-                i = j;
-                continue;
-            } else if seg == "none" {
-                set_ckpt(CheckpointPolicySpec::None, &mut checkpoint)?;
-            } else if let Some(b) = seg.strip_prefix("img") {
-                let b: u64 = parse_digits(b)
-                    .ok_or_else(|| format!("bad image size `{seg}` in `{s}` (want img<bytes>)"))?;
-                if image_bytes.replace(b).is_some() {
-                    return Err(format!("duplicate `img` in `{s}`"));
-                }
-            } else if seg == "pfs" {
-                if storage.replace(StorageSpec::ParallelFs).is_some() {
-                    return Err(format!("duplicate `pfs` in `{s}`"));
-                }
-            } else if seg == "nogc" {
-                if gc.replace(false).is_some() {
-                    return Err(format!("duplicate `nogc` in `{s}`"));
-                }
             } else {
                 return Err(format!(
                     "unknown protocol parameter `{seg}` in `{s}` \
-                     (want ckpt<ms>ms | <policy> | img<bytes> | pfs | nogc)"
+                     (want ckpt<ms>ms | <policy> | img<bytes> | pfs | nogc, hydee only)"
                 ));
+            };
+            if seen.contains(&setting) {
+                return Err(format!("more than one {setting} in `{s}`"));
             }
-            i += 1;
+            seen.push(setting);
         }
-        if family == "native" {
-            if segs.len() > 1 {
-                return Err(format!("`native` takes no parameters (got `{s}`)"));
-            }
-            return Ok(ProtocolSpec::Native);
-        }
-        if gc == Some(false) && family != "hydee" {
-            return Err(format!("`nogc` only applies to hydee (got `{s}`)"));
-        }
-        let checkpoint = checkpoint.unwrap_or(CheckpointPolicySpec::None);
-        let image_bytes = image_bytes.unwrap_or(DEFAULT_IMAGE_BYTES);
-        let storage = storage.unwrap_or(StorageSpec::Default);
         Ok(match family {
             "hydee" => ProtocolSpec::Hydee {
                 checkpoint,
                 image_bytes,
                 storage,
-                gc: gc.unwrap_or(true),
+                gc,
             },
             "coordinated" => ProtocolSpec::Coordinated {
                 checkpoint,
@@ -851,30 +761,20 @@ impl FailureSpec {
         let (time, ranks) = body
             .split_once(':')
             .ok_or_else(|| format!("bad failure injection `{s}` (want <time>:<ranks>)"))?;
-        let (digits, to_us): (&str, u64) = if let Some(us) = time.strip_suffix("us") {
-            (us, 1)
-        } else if let Some(ms) = time.strip_suffix("ms") {
-            (ms, 1000)
-        } else {
-            (time, 1000) // legacy bare number = milliseconds
+        // The time reads through the shared unit readers, so a value
+        // whose picosecond conversion would wrap is refused here.
+        let at_us = match time.strip_suffix("us") {
+            Some(t) => us("time", t, s)?,
+            // Milliseconds, with or without the unit (the legacy sweep
+            // form); MAX_MS * 1000 is still below MAX_US.
+            None => 1000 * ms("time", time.strip_suffix("ms").unwrap_or(time), s)?,
         };
-        let t: u64 =
-            parse_digits(digits).ok_or_else(|| format!("bad failure time `{time}` in `{s}`"))?;
-        let at_us = t
-            .checked_mul(to_us)
-            // The us -> ps conversion in `to_event` multiplies by 1e6:
-            // reject here anything that would wrap there.
-            .filter(|us| us.checked_mul(1_000_000).is_some())
-            .ok_or_else(|| format!("failure time `{time}` in `{s}` overflows simulated time"))?;
         let ranks: Vec<u32> = ranks
             .strip_prefix('r')
             .unwrap_or(ranks)
             .split('+')
-            .map(|r| parse_digits(r).ok_or_else(|| format!("bad failure rank `{r}` in `{s}`")))
+            .map(|r| digits(r).ok_or_else(|| format!("bad failure rank `{r}` in `{s}`")))
             .collect::<Result<_, String>>()?;
-        if ranks.is_empty() {
-            return Err(format!("no ranks in failure injection `{s}`"));
-        }
         Ok(FailureSpec { at_us, ranks })
     }
 }
@@ -1040,10 +940,7 @@ impl FailureModelSpec {
         if s.is_empty() || s == "none" {
             return Ok(FailureModelSpec::none());
         }
-        let (kind, rest) = match s.split_once(':') {
-            Some((kind, rest)) => (kind, Some(rest)),
-            None => (s, None),
-        };
+        let kind = s.split(':').next().unwrap_or_default();
         if !matches!(kind, "poisson" | "cluster" | "cascade") {
             let events = s
                 .split(',')
@@ -1059,67 +956,29 @@ impl FailureModelSpec {
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(FailureModelSpec::Fixed(events));
         }
-        let mut mtbf_ms = None;
-        let mut seed = 0u64;
-        let mut max_failures = DEFAULT_MAX_FAILURES;
-        let mut window_us = 1000u64;
-        let mut follow_pct = 50u8;
-        let mut seen: Vec<&str> = Vec::new();
-        for part in rest.into_iter().flat_map(|r| r.split(':')) {
-            if part.is_empty() {
-                return Err(format!(
-                    "empty parameter segment in `{s}` (stray or trailing `:`)"
-                ));
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad model parameter `{part}` in `{s}` (want key=value)"))?;
-            if seen.contains(&key) {
-                return Err(format!("duplicate `{key}=` in `{s}`"));
-            }
-            seen.push(key);
-            let parsed: u64 = parse_digits(value)
-                .ok_or_else(|| format!("bad value `{value}` for `{key}` in `{s}`"))?;
-            match key {
-                "mtbf" => mtbf_ms = Some(parsed),
-                "seed" => seed = parsed,
-                "max" => {
-                    max_failures = u32::try_from(parsed)
-                        .map_err(|_| format!("`max={parsed}` in `{s}` exceeds {}", u32::MAX))?;
-                }
-                "window" if kind == "cascade" => window_us = parsed,
-                "follow" if kind == "cascade" => {
-                    if parsed > 100 {
-                        return Err(format!(
-                            "`follow={parsed}` in `{s}` is a percentage (0-100)"
-                        ));
-                    }
-                    follow_pct = parsed as u8;
-                }
-                other => return Err(format!("unknown model parameter `{other}` in `{s}`")),
-            }
+        let keys: &[&str] = if kind == "cascade" {
+            &["mtbf", "seed", "max", "window", "follow"]
+        } else {
+            &["mtbf", "seed", "max"]
+        };
+        let p = Params::read(s, s.split(':').skip(1), keys, &[])?;
+        let mtbf_ms = match p.get("mtbf", ms)? {
+            Some(0) => return Err(format!("model `{s}` needs a positive mtbf")),
+            Some(ms) => ms,
+            None => return Err(format!("model `{s}` needs mtbf=<ms>")),
+        };
+        let seed = p.get("seed", uint)?.unwrap_or(0);
+        let max_failures = p.get("max", uint)?.unwrap_or(DEFAULT_MAX_FAILURES);
+        let window_us = p.get("window", us)?.unwrap_or(1000);
+        if window_us == 0 {
+            return Err(format!("model `{s}` needs a positive window"));
         }
-        let mtbf_ms = mtbf_ms.ok_or_else(|| format!("model `{s}` needs mtbf=<ms>"))?;
-        if mtbf_ms == 0 {
-            return Err(format!("model `{s}` needs a positive mtbf"));
-        }
-        // Reject values whose unit conversion overflows picoseconds at
-        // build() time (ms -> ps is x1e9, us -> ps is x1e6).
-        if mtbf_ms.checked_mul(1_000_000_000).is_none() {
-            return Err(format!(
-                "`mtbf={mtbf_ms}` in `{s}` overflows simulated time"
-            ));
-        }
-        if kind == "cascade" {
-            if window_us == 0 {
-                return Err(format!("model `{s}` needs a positive window"));
+        let follow_pct = match p.get("follow", uint::<u8>)? {
+            Some(pct) if pct > 100 => {
+                return Err(format!("`follow={pct}` in `{s}` is a percentage (0-100)"))
             }
-            if window_us.checked_mul(1_000_000).is_none() {
-                return Err(format!(
-                    "`window={window_us}` in `{s}` overflows simulated time"
-                ));
-            }
-        }
+            pct => pct.unwrap_or(50),
+        };
         Ok(match kind {
             "poisson" => FailureModelSpec::Poisson {
                 mtbf_ms,
@@ -1418,7 +1277,11 @@ mod tests {
                 gc: false,
             },
             ProtocolSpec::coordinated().with_checkpoint_ms(Some(100)),
-            ProtocolSpec::event_logged().with_image_bytes(2 << 20),
+            ProtocolSpec::EventLogged {
+                checkpoint: CheckpointPolicySpec::None,
+                image_bytes: 2 << 20,
+                storage: StorageSpec::Default,
+            },
         ];
         for p in &variants {
             let name = p.name();

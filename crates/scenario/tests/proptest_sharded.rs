@@ -15,8 +15,15 @@
 //! the factory runs them serially whatever `shards` asks for, so their
 //! records are identical by construction and the `shards` column must
 //! report 1.
+//!
+//! Every case outlasts the 1 ms first checkpoint of its periodic and
+//! Young/Daly policies, so the sharded runs compare checkpointing
+//! records, not just clean ones (Young/Daly schedules nothing without
+//! a failure rate, so it checkpoints only in the serial fallback).
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use scenario::{
     CheckpointPolicySpec, ClusterStrategy, Executor, FailureModelSpec, FailureSpec, ProtocolSpec,
     RunRecord, ScenarioSpec,
@@ -30,7 +37,11 @@ const SHARD_POINTS: [usize; 4] = [1, 2, 7, 8];
 fn decode_protocol(variant: u8, policy: u8) -> ProtocolSpec {
     let checkpoint = match policy % 3 {
         0 => CheckpointPolicySpec::None,
-        1 => CheckpointPolicySpec::periodic(2),
+        1 => CheckpointPolicySpec::Periodic {
+            interval_ms: 1,
+            first_ms: Some(1),
+            stagger_ms: Some(0),
+        },
         _ => CheckpointPolicySpec::YoungDaly {
             first_ms: Some(1),
             stagger_ms: Some(0),
@@ -73,9 +84,20 @@ fn normalized(mut record: RunRecord) -> String {
     serde_json::to_string(&record).expect("record serializes")
 }
 
+/// Cases whose run on two or more shards took a checkpoint.
+static SHARDED_CHECKPOINTING_RUNS: AtomicUsize = AtomicUsize::new(0);
+
+#[test]
+fn sharded_records_serialize_identically_to_serial() {
+    sharded_cases();
+    assert!(
+        SHARDED_CHECKPOINTING_RUNS.load(Ordering::Relaxed) > 0,
+        "no sharded case took a checkpoint"
+    );
+}
+
 proptest! {
-    #[test]
-    fn sharded_records_serialize_identically_to_serial(
+    fn sharded_cases(
         protocol_variant in any::<u8>(),
         policy_variant in any::<u8>(),
         failure_variant in any::<u8>(),
@@ -88,7 +110,9 @@ proptest! {
                     n_ranks: 16,
                     iterations,
                     face_bytes: 2048,
-                    compute_us: 40,
+                    // 2-4 iterations of 600 us outlast the first
+                    // checkpoint at 1 ms.
+                    compute_us: 600,
                     wildcard_recv: false,
                 },
                 decode_protocol(protocol_variant, policy_variant),
@@ -120,6 +144,9 @@ proptest! {
                     shards
                 );
                 prop_assert!(record.barrier_rounds > 0, "sharded run ran no barriers");
+                if record.metrics.checkpoints > 0 {
+                    SHARDED_CHECKPOINTING_RUNS.fetch_add(1, Ordering::Relaxed);
+                }
             }
             prop_assert_eq!(
                 &normalized(record),

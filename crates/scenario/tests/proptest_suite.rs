@@ -31,10 +31,11 @@ fn decode_workload(variant: u8, a: u64, b: u64) -> WorkloadSpec {
         },
         1 => WorkloadSpec::Nas {
             bench: NasBench::all()[(a % 6) as usize],
-            // Exact binary fractions (and sometimes exactly 1.0, the
-            // eliding default) so Display→parse is lossless by
-            // construction, not just by f64 shortest-round-trip.
-            scale: (1 + b % 2048) as f64 / 1024.0,
+            // Exact binary fractions in (0, 1], the scales the grammar
+            // accepts (sometimes exactly 1.0, the eliding default), so
+            // Display→parse is lossless by construction, not just by f64
+            // shortest-round-trip.
+            scale: (1 + b % 1024) as f64 / 1024.0,
             iterations: (a & 2 == 0).then_some(1 + (b % 400) as usize),
         },
         2 => WorkloadSpec::Stencil {

@@ -112,9 +112,6 @@ pub trait Recorder: Send {
     /// Application message transmitted (`replayed` for log replays).
     fn on_send(&mut self, _now: SimTime, _src: u32, _dst: u32, _bytes: u64, _replayed: bool) {}
 
-    /// Application message delivered to the receiver's program.
-    fn on_deliver(&mut self, _now: SimTime, _src: u32, _dst: u32, _bytes: u64) {}
-
     /// Fail-stop failure of `ranks` injected at `now`.
     fn on_failure(&mut self, _now: SimTime, _ranks: &[u32]) {}
 
@@ -185,12 +182,6 @@ impl Recorder for Fanout {
     fn on_send(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64, replayed: bool) {
         for r in &mut self.recorders {
             r.on_send(now, src, dst, bytes, replayed);
-        }
-    }
-
-    fn on_deliver(&mut self, now: SimTime, src: u32, dst: u32, bytes: u64) {
-        for r in &mut self.recorders {
-            r.on_deliver(now, src, dst, bytes);
         }
     }
 

@@ -123,7 +123,7 @@ fn track_name(tid: u64) -> String {
 }
 
 /// Buffers spans per (cluster, track) for Perfetto export. Ignores the
-/// per-event hooks (`on_tick`/`on_send`/`on_deliver`) — those belong to
+/// per-event hooks (`on_tick`/`on_send`) — those belong to
 /// the [`Sampler`](crate::Sampler); this recorder captures the sparse,
 /// structural timeline the paper's figures draw.
 #[derive(Default)]

@@ -15,6 +15,7 @@ pub mod grid;
 pub mod master_worker;
 pub mod nas;
 pub mod netpipe;
+pub mod params;
 pub mod registry;
 pub mod stencil;
 

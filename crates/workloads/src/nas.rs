@@ -67,11 +67,9 @@ impl NasBench {
         }
     }
 
-    /// Inverse of [`NasBench::name`] (case-insensitive).
+    /// Inverse of [`NasBench::name`], spelled exactly as it prints.
     pub fn from_name(name: &str) -> Option<NasBench> {
-        NasBench::all()
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
+        NasBench::all().into_iter().find(|b| b.name() == name)
     }
 
     /// Cluster count the paper's tool chose on 256 processes (Table I).

@@ -8,15 +8,19 @@
 //! Name grammar (`parse`):
 //!
 //! ```text
-//! nas:<BT|CG|FT|LU|MG|SP>[:scale=<f64>][:iters=<n>]
+//! nas:<BT|CG|FT|LU|MG|SP>[:scale=<f64 in (0, 1]>][:iters=<n>]
 //! netpipe:<bytes>[:rounds=<n>]
-//! stencil:<n_ranks>x<iterations>[:face=<bytes>][:wildcard]
+//! stencil:<n_ranks>x<iterations>[:face=<bytes>][:compute_us=<us>][:wildcard]
 //! master_worker:<n_ranks>[:tasks=<n>]
 //! ```
+//!
+//! The optional segments come in any order, each at most once, and are
+//! read by the shared [`Params`] reader like every other axis value.
 
 use crate::master_worker::{master_worker, MasterWorkerConfig};
 use crate::nas::{NasBench, NasConfig};
 use crate::netpipe::ping_pong;
+use crate::params::{digits, float, uint, us, Params};
 use crate::stencil::{stencil_2d, StencilConfig};
 use det_sim::SimDuration;
 use mps_sim::Application;
@@ -148,33 +152,34 @@ impl WorkloadSpec {
         }
     }
 
-    /// Parse a registry name (see module docs for the grammar).
+    /// Parse a registry name (see module docs for the grammar). Strict:
+    /// parameters go through [`Params`], and a value whose simulated
+    /// time or message pricing would overflow (see [`MAX_MESSAGE_BYTES`]
+    /// and [`TIME_BUDGET_PS`]) is an error, so every name that parses
+    /// builds and runs on an unwrapped clock.
     pub fn parse(s: &str) -> Result<WorkloadSpec, String> {
-        let mut parts = s.split(':');
-        let family = parts.next().unwrap_or_default();
-        let rest: Vec<&str> = parts.collect();
+        let mut segs = s.split(':');
+        let family = segs.next().unwrap_or_default();
+        let head = segs.next();
+        let read = |keys: &[&str], flags: &[&str]| Params::read(s, segs.clone(), keys, flags);
         match family {
             "nas" => {
-                let bench_name = rest
-                    .first()
-                    .ok_or_else(|| format!("`{s}`: nas needs a benchmark name"))?;
+                let bench_name =
+                    head.ok_or_else(|| format!("`{s}`: nas needs a benchmark name"))?;
                 let bench = NasBench::from_name(bench_name)
                     .ok_or_else(|| format!("`{s}`: unknown NAS benchmark `{bench_name}`"))?;
-                let mut scale = 1.0f64;
-                let mut iterations = None;
-                for opt in &rest[1..] {
-                    if let Some(v) = opt.strip_prefix("scale=") {
-                        scale = v.parse().map_err(|_| format!("`{s}`: bad scale `{v}`"))?;
-                        if !(scale.is_finite() && scale > 0.0) {
-                            return Err(format!("`{s}`: scale must be finite and > 0"));
-                        }
-                    } else if let Some(v) = opt.strip_prefix("iters=") {
-                        iterations =
-                            Some(v.parse().map_err(|_| format!("`{s}`: bad iters `{v}`"))?);
-                    } else {
-                        return Err(format!("`{s}`: unknown option `{opt}`"));
-                    }
+                let p = read(&["scale", "iters"], &[])?;
+                let scale = p.get("scale", float)?.unwrap_or(1.0);
+                // Every paper run uses scale <= 1; larger scales only
+                // multiply byte volumes past anything measured.
+                if !(scale > 0.0 && scale <= 1.0) {
+                    return Err(format!(
+                        "`scale` in `{s}` must be finite and > 0, and at most 1"
+                    ));
                 }
+                let iterations: Option<usize> = p.get("iters", uint)?;
+                let n = iterations.unwrap_or_else(|| bench.paper_config(scale).iterations);
+                within_budget(s, "`iters`", n as u64, NAS_ITERATION_PS)?;
                 Ok(WorkloadSpec::Nas {
                     bench,
                     scale,
@@ -182,86 +187,61 @@ impl WorkloadSpec {
                 })
             }
             "netpipe" => {
-                let bytes = rest
-                    .first()
-                    .ok_or_else(|| format!("`{s}`: netpipe needs a message size"))?
-                    .parse()
-                    .map_err(|_| format!("`{s}`: bad message size"))?;
-                let mut rounds = 20usize;
-                for opt in &rest[1..] {
-                    if let Some(v) = opt.strip_prefix("rounds=") {
-                        rounds = v.parse().map_err(|_| format!("`{s}`: bad rounds `{v}`"))?;
-                    } else {
-                        return Err(format!("`{s}`: unknown option `{opt}`"));
-                    }
-                }
+                let size = head.ok_or_else(|| format!("`{s}`: netpipe needs a message size"))?;
+                let bytes =
+                    digits(size).ok_or_else(|| format!("`{s}`: bad message size `{size}`"))?;
+                let bytes = message_bytes(s, "message size", bytes)?;
+                let rounds: usize = read(&["rounds"], &[])?.get("rounds", uint)?.unwrap_or(20);
+                // A round trip: each rank sends once and waits for one.
+                within_budget(s, "`rounds`", rounds as u64, 2 * wire_ps(bytes))?;
                 Ok(WorkloadSpec::NetPipe { rounds, bytes })
             }
             "stencil" => {
-                let dims = rest
-                    .first()
+                let (r, i) = head
+                    .and_then(|dims| dims.split_once('x'))
                     .ok_or_else(|| format!("`{s}`: stencil needs <ranks>x<iters>"))?;
-                let (r, i) = dims
-                    .split_once('x')
-                    .ok_or_else(|| format!("`{s}`: stencil needs <ranks>x<iters>"))?;
-                let n_ranks = r.parse().map_err(|_| format!("`{s}`: bad ranks `{r}`"))?;
+                let n_ranks = digits(r).ok_or_else(|| format!("`{s}`: bad ranks `{r}`"))?;
                 if n_ranks < 1 {
                     return Err(format!("`{s}`: stencil needs at least 1 rank"));
                 }
-                let iterations = i.parse().map_err(|_| format!("`{s}`: bad iters `{i}`"))?;
-                let mut spec = WorkloadSpec::Stencil {
+                let iterations: usize =
+                    digits(i).ok_or_else(|| format!("`{s}`: bad iters `{i}`"))?;
+                let p = read(&["face", "compute_us"], &["wildcard"])?;
+                let face_bytes =
+                    message_bytes(s, "`face`", p.get("face", uint)?.unwrap_or(64 << 10))?;
+                let compute_us = p.get("compute_us", us)?.unwrap_or(200);
+                // One iteration: the compute plus up to four face sends.
+                let iteration_ps = compute_us as u128 * PS_PER_US + 4 * wire_ps(face_bytes);
+                within_budget(s, "`compute_us`", 1, iteration_ps)?;
+                within_budget(s, "iterations", iterations as u64, iteration_ps)?;
+                Ok(WorkloadSpec::Stencil {
                     n_ranks,
                     iterations,
-                    face_bytes: 64 << 10,
-                    compute_us: 200,
-                    wildcard_recv: false,
-                };
-                for opt in &rest[1..] {
-                    let WorkloadSpec::Stencil {
-                        face_bytes,
-                        compute_us,
-                        wildcard_recv,
-                        ..
-                    } = &mut spec
-                    else {
-                        unreachable!()
-                    };
-                    if let Some(v) = opt.strip_prefix("face=") {
-                        *face_bytes = v
-                            .parse()
-                            .map_err(|_| format!("`{s}`: bad face bytes `{v}`"))?;
-                    } else if let Some(v) = opt.strip_prefix("compute_us=") {
-                        *compute_us = v
-                            .parse()
-                            .map_err(|_| format!("`{s}`: bad compute_us `{v}`"))?;
-                    } else if *opt == "wildcard" {
-                        *wildcard_recv = true;
-                    } else {
-                        return Err(format!("`{s}`: unknown option `{opt}`"));
-                    }
-                }
-                Ok(spec)
+                    face_bytes,
+                    compute_us,
+                    wildcard_recv: p.flag("wildcard"),
+                })
             }
             "master_worker" => {
-                let n_ranks = rest
-                    .first()
-                    .ok_or_else(|| format!("`{s}`: master_worker needs a rank count"))?
-                    .parse()
-                    .map_err(|_| format!("`{s}`: bad rank count"))?;
+                let n = head.ok_or_else(|| format!("`{s}`: master_worker needs a rank count"))?;
+                let n_ranks: usize =
+                    digits(n).ok_or_else(|| format!("`{s}`: bad rank count `{n}`"))?;
                 if n_ranks < 2 {
                     return Err(format!(
                         "`{s}`: master_worker needs at least 2 ranks (a master and a worker)"
                     ));
                 }
-                let mut tasks_per_worker = 4usize;
-                for opt in &rest[1..] {
-                    if let Some(v) = opt.strip_prefix("tasks=") {
-                        tasks_per_worker =
-                            v.parse().map_err(|_| format!("`{s}`: bad tasks `{v}`"))?;
-                    } else {
-                        return Err(format!("`{s}`: unknown option `{opt}`"));
-                    }
-                }
+                let tasks_per_worker: usize =
+                    read(&["tasks"], &[])?.get("tasks", uint)?.unwrap_or(4);
+                // One round: the master sends every worker a task and
+                // takes every result, and a worker computes up to
+                // `workers` times the base work per task.
+                let cfg = MasterWorkerConfig::default();
+                let workers = n_ranks as u128 - 1;
+                let round_ps = workers
+                    * (wire_ps(cfg.task_bytes + cfg.result_bytes) + cfg.work_base.as_ps() as u128);
+                within_budget(s, "rank count", 1, round_ps)?;
+                within_budget(s, "`tasks`", tasks_per_worker as u64, round_ps)?;
                 Ok(WorkloadSpec::MasterWorker {
                     n_ranks,
                     tasks_per_worker,
@@ -273,6 +253,58 @@ impl WorkloadSpec {
             )),
         }
     }
+}
+
+/// Largest message a workload may send. Pricing multiplies a size by at
+/// most 10^6 on its way to picoseconds (MX charges 800 ps/B and splits
+/// the total into permille shares, x1000, before dividing), so a larger
+/// size wraps its price.
+pub const MAX_MESSAGE_BYTES: u64 = u64::MAX / 1_000_000;
+
+/// Most simulated time one rank's own work may take: a sixteenth of the
+/// `u64` picosecond clock (about 13 days). The rest is left for what a
+/// run adds on top of the workload: waits on peers, latencies,
+/// checkpoints, rollbacks and replays.
+pub const TIME_BUDGET_PS: u64 = u64::MAX >> 4;
+
+/// Wire time charged per byte when bounding a rank's own time: TCP's
+/// 900 ps/B, the dearest base price, rounded up. Tiered topologies taper
+/// transit further, within the headroom [`TIME_BUDGET_PS`] leaves.
+const PS_PER_BYTE: u128 = 1_000;
+
+const PS_PER_US: u128 = 1_000_000;
+
+/// Bound on one iteration of any NAS skeleton at scale <= 1: FT's
+/// 300 ms of compute, the longest, plus 2^28 bytes sent by one rank
+/// (FT's alltoall sends 133.7 MB, the most; `nas_iteration_bound_holds`
+/// checks both against the skeletons).
+const NAS_ITERATION_PS: u128 = 300_000_000_000 + (1 << 28) * PS_PER_BYTE;
+
+fn wire_ps(bytes: u64) -> u128 {
+    bytes as u128 * PS_PER_BYTE
+}
+
+/// `bytes` if it is at most [`MAX_MESSAGE_BYTES`]; `what` names it in
+/// the error.
+fn message_bytes(s: &str, what: &str, bytes: u64) -> Result<u64, String> {
+    if bytes > MAX_MESSAGE_BYTES {
+        return Err(format!(
+            "{what} {bytes} in `{s}` overflows message pricing (at most {MAX_MESSAGE_BYTES} bytes)"
+        ));
+    }
+    Ok(bytes)
+}
+
+/// `Err` naming `what` unless `count` repeats of `each_ps` fit
+/// [`TIME_BUDGET_PS`].
+fn within_budget(s: &str, what: &str, count: u64, each_ps: u128) -> Result<(), String> {
+    if count as u128 * each_ps > TIME_BUDGET_PS as u128 {
+        return Err(format!(
+            "{what} in `{s}` overflows simulated time (one rank's work must fit \
+             {TIME_BUDGET_PS} ps)"
+        ));
+    }
+    Ok(())
 }
 
 /// Workload families the registry knows.
@@ -338,6 +370,24 @@ mod tests {
         assert_eq!(app.n_ranks(), 9);
         assert!(app.check_balance().is_ok());
         assert_eq!(spec.n_ranks(), 9);
+    }
+
+    #[test]
+    fn nas_iteration_bound_holds() {
+        for bench in NasBench::all() {
+            let mut cfg = bench.paper_config(1.0);
+            cfg.iterations = 1;
+            let app = bench.build(&cfg);
+            let most = (0..app.n_ranks())
+                .map(|r| app.rank(mps_sim::Rank(r as u32)).bytes_sent())
+                .max()
+                .unwrap();
+            let iteration_ps = cfg.compute_per_iter.as_ps() as u128 + wire_ps(most);
+            assert!(
+                iteration_ps <= NAS_ITERATION_PS,
+                "{bench:?}: {iteration_ps} ps"
+            );
+        }
     }
 
     #[test]
